@@ -32,7 +32,6 @@ from .fuzzy import (
     FuzzySet,
     classical_fuzzify,
     com_index,
-    com_index_literal,
     com_pushforward,
     complement,
     crisp_subset_probability,

@@ -7,7 +7,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .fuzzy import FuzzySet, oracle_distribution
+from .fuzzy import FuzzySet, common_universe, oracle_distribution
 from .qfs import QuantumFuzzySet, encode
 from .statevec import (
     StateVector,
@@ -38,24 +38,23 @@ class OrthogonalityVerdict:
 class EntanglementReport:
     """Per-qubit structure of a register state.
 
-    ``canonical_fuzzy_set`` and ``phases`` are present exactly when the
-    state is a product: each factor a|0> + b|1> contributes membership |b|^2
-    and relative phase arg(b) - arg(a).
+    ``canonical_fuzzy_set``, ``phases`` and ``factors`` are present exactly
+    when the state is a product: each phase-fixed factor a|0> + b|1> (from
+    :func:`factor_product_state`) contributes membership |b|^2 and relative
+    phase arg(b) - arg(a).
     """
 
     per_qubit_schmidt_ranks: tuple[int, ...]
     is_product: bool
     canonical_fuzzy_set: FuzzySet | None
     phases: tuple[float, ...] | None
+    factors: tuple[StateVector, ...] | None
 
 
 def cfs_inner(f: FuzzySet, g: FuzzySet) -> float:
     """Closed-form inner product of two encoded fuzzy sets:
     the product over i of sqrt(f(i)g(i)) + sqrt((1-f(i))(1-g(i)))."""
-    if f.universe_size != g.universe_size:
-        raise ValueError(
-            f"universe size mismatch: {f.universe_size} vs {g.universe_size}"
-        )
+    common_universe(f, g)
     fm, gm = f.memberships, g.memberships
     return float(np.prod(np.sqrt(fm * gm) + np.sqrt((1.0 - fm) * (1.0 - gm))))
 
@@ -67,10 +66,7 @@ def check_orthogonality(f: FuzzySet, g: FuzzySet) -> OrthogonalityVerdict:
     (0, 1) or (1, 0) as stored.  Memberships merely close to 0 or 1 do not
     produce orthogonal states and yield no witness.
     """
-    if f.universe_size != g.universe_size:
-        raise ValueError(
-            f"universe size mismatch: {f.universe_size} vs {g.universe_size}"
-        )
+    common_universe(f, g)
     witness = None
     for i, (a, b) in enumerate(zip(f.memberships, g.memberships), start=1):
         if (a == 0.0 and b == 1.0) or (a == 1.0 and b == 0.0):
@@ -95,7 +91,7 @@ def entanglement_report(q: QuantumFuzzySet | StateVector) -> EntanglementReport:
         ranks = tuple(schmidt_rank(state, {i}) for i in range(1, n + 1))
     is_product = all(r == 1 for r in ranks)
     if not is_product:
-        return EntanglementReport(ranks, False, None, None)
+        return EntanglementReport(ranks, False, None, None, None)
     factors = factor_product_state(state)
     if factors is None:
         raise RuntimeError("rank-1 state failed to factor; tolerances disagree")
@@ -109,7 +105,9 @@ def entanglement_report(q: QuantumFuzzySet | StateVector) -> EntanglementReport:
         else:
             phi = float(np.angle(b) - np.angle(a))
         phases.append(0.0 if abs(phi) < PHASE_SNAP_TOL else phi)
-    return EntanglementReport(ranks, True, FuzzySet(memberships), tuple(phases))
+    return EntanglementReport(
+        ranks, True, FuzzySet(memberships), tuple(phases), tuple(factors)
+    )
 
 
 def total_variation(p: Mapping, q: Mapping) -> float:

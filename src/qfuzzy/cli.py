@@ -146,15 +146,11 @@ def _cmd_eval(args: argparse.Namespace) -> str:
 
 
 def _cmd_report(args: argparse.Namespace) -> str:
-    q = serialize.qfs_from_dict(_load_json(_read_input(args.input)))
+    q = serialize.qfs_from_dict(_load_json(_read_input(args.input)), args.qubit_cap)
     report = entanglement_report(q)
     bloch = None
-    if report.is_product:
-        from .statevec import factor_product_state
-
-        factors = factor_product_state(q.state)
-        assert factors is not None
-        bloch = [bloch_point(f) for f in factors]
+    if report.factors is not None:
+        bloch = [bloch_point(f) for f in report.factors]
     return serialize.dumps(serialize.report_to_dict(report, bloch))
 
 
@@ -162,7 +158,7 @@ def _cmd_sample(args: argparse.Namespace) -> str:
     shots = args.shots if args.shots is not None else 10000
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    q = serialize.qfs_from_dict(_load_json(_read_input(args.input)))
+    q = serialize.qfs_from_dict(_load_json(_read_input(args.input)), args.qubit_cap)
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     counts = sample_distribution(q.state, rng, shots)
     payload = {"shots": shots, "counts": serialize.distribution_to_dict(counts)}

@@ -62,11 +62,14 @@ class CrispSubset:
         return tuple(i for i, b in enumerate(self.bits, start=1) if b == "1")
 
 
-def _check_sizes(f: FuzzySet, g: FuzzySet) -> None:
-    if f.universe_size != g.universe_size:
+def common_universe(a, b) -> int:
+    """The universe size shared by ``a`` and ``b`` (anything with a
+    ``universe_size``); raises ValueError when the sizes differ."""
+    if a.universe_size != b.universe_size:
         raise ValueError(
-            f"universe size mismatch: {f.universe_size} vs {g.universe_size}"
+            f"universe size mismatch: {a.universe_size} vs {b.universe_size}"
         )
+    return a.universe_size
 
 
 def complement(f: FuzzySet) -> FuzzySet:
@@ -76,13 +79,13 @@ def complement(f: FuzzySet) -> FuzzySet:
 
 def intersect(f: FuzzySet, g: FuzzySet) -> FuzzySet:
     """Pointwise product f(i) * g(i)."""
-    _check_sizes(f, g)
+    common_universe(f, g)
     return FuzzySet(f.memberships * g.memberships)
 
 
 def union(f: FuzzySet, g: FuzzySet) -> FuzzySet:
     """Pointwise f(i) + g(i) - f(i)g(i), the De Morgan dual of intersect."""
-    _check_sizes(f, g)
+    common_universe(f, g)
     return FuzzySet(f.memberships + g.memberships - f.memberships * g.memberships)
 
 
@@ -118,25 +121,10 @@ def com_index(bits: CrispSubset | str) -> int:
     return sum(i for i, c in enumerate(b, start=1) if c == "1") // mass
 
 
-def com_index_literal(bits: CrispSubset | str) -> int:
-    """Variant that divides by the sum of all indices 1..N instead of the mass.
-
-    Kept for comparison with :func:`com_index`; it collapses almost every
-    input to index 0 or 1 and is not used by the defuzzifiers.
-    """
-    b = _bits_of(bits)
-    n = len(b)
-    weighted = sum(i for i, c in enumerate(b, start=1) if c == "1")
-    return weighted // (n * (n + 1) // 2)
-
-
 def crisp_subset_probability(f: FuzzySet, s: CrispSubset) -> float:
     """Probability that measuring the encoded register collapses onto ``s``:
     the product of f(i) over members and 1 - f(i) over non-members."""
-    if f.universe_size != s.universe_size:
-        raise ValueError(
-            f"universe size mismatch: {f.universe_size} vs {s.universe_size}"
-        )
+    common_universe(f, s)
     inside = np.array([c == "1" for c in s.bits])
     return float(np.prod(np.where(inside, f.memberships, 1.0 - f.memberships)))
 

@@ -12,20 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .fuzzy import FuzzySet, CrispSubset, com_index
+from .fuzzy import FuzzySet, CrispSubset, com_index, common_universe
 from .statevec import (
     DEFAULT_QUBIT_CAP,
     NORM_TOL,
-    PAULI_X,
     StateVector,
-    apply_controlled,
-    apply_single,
     check_register_cap,
-    ground_state,
     one_probabilities,
 )
 
@@ -125,51 +121,68 @@ def rotation_gate(p: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
+def _product_amplitudes(memberships: np.ndarray) -> np.ndarray:
+    """Amplitudes of the product state with qubit i in
+    sqrt(1-m_i)|0> + sqrt(m_i)|1>: the kron of the per-qubit columns."""
+    m = np.asarray(memberships, dtype=np.float64)
+    return reduce(np.kron, np.stack([np.sqrt(1.0 - m), np.sqrt(m)], axis=1))
+
+
+def _segment_bits(index, n_total: int, start: int, length: int):
+    """Extract the bits of a qubit segment from a basis index (an int or an
+    index array)."""
+    bits = index >> (n_total - (start + length - 1))
+    bits &= (1 << length) - 1
+    return bits
+
+
+def _xor_gather(
+    state: StateVector, flip: Callable[[np.ndarray], np.ndarray | int]
+) -> StateVector:
+    """Apply the basis permutation |i> -> |i XOR flip(i)> as one gather.
+
+    ``flip`` maps the array of basis indices to XOR masks.  Every caller
+    flips only qubits that ``flip`` does not read, so the permutation is an
+    involution and its action on amplitudes is ``amps[i XOR flip(i)]``.
+    """
+    idx = np.arange(state.dim, dtype=np.int64)
+    idx ^= flip(idx)
+    return StateVector(state.n_qubits, state.amplitudes[idx])
+
+
 def encode(f: FuzzySet, cap: int = DEFAULT_QUBIT_CAP) -> QuantumFuzzySet:
     """Load a fuzzy set into a fresh register, one qubit per element.
 
-    Qubit i is rotated from |0> to sqrt(1-f(i))|0> + sqrt(f(i))|1>, so the
-    register ends in the product state whose basis amplitudes are given by
+    In the paper each qubit i is rotated from |0> to
+    sqrt(1-f(i))|0> + sqrt(f(i))|1> by :func:`rotation_gate`.  The rotations
+    act on separate qubits, so the register is the product state, built
+    directly as the kron of those columns; its basis amplitudes are given by
     :func:`expansion_coeff`.
     """
-    state = ground_state(f.universe_size, cap)
-    for i, p in enumerate(f.memberships, start=1):
-        state = apply_single(state, rotation_gate(float(p)), i)
-    return QuantumFuzzySet(state, RegisterLayout.single(VALUE_SEGMENT, f.universe_size))
+    n = f.universe_size
+    check_register_cap(n, cap)
+    state = StateVector(n, _product_amplitudes(f.memberships))
+    return QuantumFuzzySet(state, RegisterLayout.single(VALUE_SEGMENT, n))
 
 
 def expansion_coeff(f: FuzzySet, s: CrispSubset) -> float:
     """Standard-basis amplitude of the encoded state at crisp subset ``s``:
     the product of sqrt(f(i)) over members and sqrt(1-f(i)) over the rest."""
-    if f.universe_size != s.universe_size:
-        raise ValueError(
-            f"universe size mismatch: {f.universe_size} vs {s.universe_size}"
-        )
+    common_universe(f, s)
     inside = np.array([c == "1" for c in s.bits])
     m = f.memberships
     return float(np.prod(np.where(inside, np.sqrt(m), np.sqrt(1.0 - m))))
 
 
 def qnot(q: QuantumFuzzySet) -> QuantumFuzzySet:
-    """Pauli-X on every value qubit; the gate-level fuzzy complement."""
-    state = q.state
-    for i in q.value_qubits:
-        state = apply_single(state, PAULI_X, i)
-    return QuantumFuzzySet(state, q.layout)
+    """The gate-level fuzzy complement: Pauli-X on every value qubit.
 
-
-def _common_universe(a: QuantumFuzzySet, b: QuantumFuzzySet) -> int:
-    if a.universe_size != b.universe_size:
-        raise ValueError(
-            f"universe size mismatch: {a.universe_size} vs {b.universe_size}"
-        )
-    return a.universe_size
-
-
-def _zero_block(n: int) -> np.ndarray:
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[0] = 1.0
-    return amps
+    X on a set of qubits is the basis permutation |i> -> |i XOR mask> with
+    the constant mask of the value segment, applied as one gather.
+    """
+    v_start, v_len = q.layout.segment(VALUE_SEGMENT)
+    mask = ((1 << v_len) - 1) << (q.state.n_qubits - (v_start + v_len - 1))
+    return QuantumFuzzySet(_xor_gather(q.state, lambda idx: mask), q.layout)
 
 
 def qand(
@@ -179,33 +192,36 @@ def qand(
 ) -> QuantumFuzzySet:
     """Elementwise fuzzy AND via one Toffoli per universe element.
 
-    Builds the register a (x) b (x) |0..0> and, for each element i, applies a
+    In the paper the register a (x) b (x) |0..0> gets, for each element i, a
     Toffoli controlled by the value qubits of ``a`` and ``b`` targeting a
-    fresh output qubit.  The inputs are kept; the output segment becomes the
-    value segment.  For encoded inputs the output marginal of element i is
+    fresh output qubit.  The Toffolis act on disjoint targets, so together
+    they are the basis permutation out ^= a_value & b_value, applied as one
+    gather.  The inputs are kept; the output segment becomes the value
+    segment.  For encoded inputs the output marginal of element i is
     f(i) * g(i).
     """
-    n = _common_universe(a, b)
+    n = common_universe(a, b)
     a_total = a.state.n_qubits
     b_total = b.state.n_qubits
     total = a_total + b_total + n
     check_register_cap(total, cap)
-    amps = np.kron(np.kron(a.state.amplitudes, b.state.amplitudes), _zero_block(n))
-    state = StateVector(total, amps)
+    amps = np.kron(
+        np.kron(a.state.amplitudes, b.state.amplitudes),
+        _product_amplitudes(np.zeros(n)),
+    )
     a_start = a.layout.segment(VALUE_SEGMENT)[0]
-    b_start = b.layout.segment(VALUE_SEGMENT)[0]
-    out_start = a_total + b_total + 1
-    for i in range(n):
-        state = apply_controlled(
-            state,
-            PAULI_X,
-            [a_start + i, a_total + b_start + i],
-            out_start + i,
-        )
+    b_start = a_total + b.layout.segment(VALUE_SEGMENT)[0]
+
+    def both_set(idx: np.ndarray) -> np.ndarray:
+        bits = _segment_bits(idx, total, a_start, n)
+        bits &= _segment_bits(idx, total, b_start, n)
+        return bits  # the output segment is the last n qubits: no shift
+
+    state = _xor_gather(StateVector(total, amps), both_set)
     layout = RegisterLayout(
         a.layout.relabeled("a.")
         + b.layout.relabeled("b.", offset=a_total)
-        + ((VALUE_SEGMENT, out_start, n),)
+        + ((VALUE_SEGMENT, a_total + b_total + 1, n),)
     )
     return QuantumFuzzySet(state, layout)
 
@@ -238,10 +254,8 @@ def _smear_mask(bits: int, k: int, n: int) -> int:
 def _half_mix_image(mask: int, n: int) -> np.ndarray:
     """Product state with qubit i in (|0>+|1>)/sqrt(2) where mask bit i is
     set and |0> elsewhere, as a real amplitude vector."""
-    half = np.array([math.sqrt(0.5), math.sqrt(0.5)])
-    zero = np.array([1.0, 0.0])
-    vecs = [half if (mask >> (n - i)) & 1 else zero for i in range(1, n + 1)]
-    return reduce(np.kron, vecs)
+    bits = (mask >> np.arange(n - 1, -1, -1)) & 1
+    return _product_amplitudes(0.5 * bits)
 
 
 def fuz_linear(state: StateVector, k: int, renormalize: bool = False) -> StateVector:
@@ -274,12 +288,6 @@ def fuz_linear(state: StateVector, k: int, renormalize: bool = False) -> StateVe
             )
         out = out / norm
     return StateVector(n, out)
-
-
-def _segment_bits(index: int, n_total: int, start: int, length: int) -> int:
-    """Extract the bits of a qubit segment from a basis index."""
-    shift = n_total - (start + length - 1)
-    return (index >> shift) & ((1 << length) - 1)
 
 
 def fuz_isometry(
@@ -322,26 +330,13 @@ def fuz_isometry(
 
 
 @lru_cache(maxsize=None)
-def _com_xor_masks(u_len: int) -> np.ndarray:
-    """XOR mask (one-hot center-of-mass pattern) for every u-segment value."""
-    masks = np.zeros(1 << u_len, dtype=np.int64)
-    for u in range(1 << u_len):
-        c = com_index(format(u, f"0{u_len}b"))
-        if c:
-            masks[u] = 1 << (u_len - c)
-    return masks
-
-
-def _com_xor(state: StateVector, u_start: int, u_len: int) -> StateVector:
-    """XOR the one-hot center of mass of a qubit segment into the final
-    ``u_len`` qubits of the register.  A basis permutation, self-inverse."""
-    n = state.n_qubits
-    masks = _com_xor_masks(u_len)
-    idx = np.arange(1 << n, dtype=np.int64)
-    shift = n - (u_start + u_len - 1)
-    ubits = (idx >> shift) & ((1 << u_len) - 1)
-    targets = idx ^ masks[ubits]
-    return StateVector(n, state.amplitudes[targets])
+def _com_table(n: int) -> np.ndarray:
+    """:func:`com_index` of every n-bit pattern, indexed by the pattern."""
+    table = np.array(
+        [com_index(format(u, f"0{n}b")) for u in range(1 << n)], dtype=np.int64
+    )
+    table.flags.writeable = False
+    return table
 
 
 def u_com(state: StateVector) -> StateVector:
@@ -349,23 +344,17 @@ def u_com(state: StateVector) -> StateVector:
 
     On a 2n-qubit register, maps |u>|v> to |u>|v XOR c(u)> where c(u) is the
     one-hot bitstring of the center-of-mass index of u (all zeros for the
-    massless input).  A basis permutation and an involution.
+    massless input).  A basis permutation and an involution, applied as one
+    gather.
     """
     if state.n_qubits % 2:
         raise ValueError(
             f"u_com needs an even register, got {state.n_qubits} qubits"
         )
     n = state.n_qubits // 2
-    return _com_xor(state, u_start=1, u_len=n)
-
-
-def _decode_one_hot(pattern: int, n: int) -> int:
-    """Index 1..n of the single set bit; 0 for the all-zero pattern."""
-    if pattern == 0:
-        return 0
-    if pattern & (pattern - 1):
-        raise ValueError(f"pattern {pattern:b} is not one-hot")
-    return n - (pattern.bit_length() - 1)
+    com = _com_table(n)
+    one_hot = np.where(com > 0, 1 << (n - com), 0)
+    return _xor_gather(state, lambda idx: one_hot[_segment_bits(idx, 2 * n, 1, n)])
 
 
 def defuzzify(
@@ -376,28 +365,28 @@ def defuzzify(
 ) -> dict[int, int]:
     """Sampled center-of-mass readout: counts over crisp indices 0..N.
 
-    Each trial pads the register with |0..0>, routes the value segment
-    through the center-of-mass XOR permutation (:func:`u_com` when the
-    register is just the value segment), measures the appended qubits, and
-    decodes the one-hot outcome (all zeros decodes to the sentinel 0).  The
-    trials are independent, so they are drawn in one pass from the Born
-    marginal of the appended segment.
+    In the paper each trial pads the register with N ancilla qubits in
+    |0..0>, routes the value segment through the center-of-mass XOR
+    permutation (:func:`u_com` when the register is just the value segment),
+    measures the ancillas, and decodes the one-hot outcome (all zeros
+    decodes to the sentinel 0).  The ancillas then read c with the total
+    probability of the basis states whose value bits have center of mass c,
+    so that marginal is summed directly from the unpadded register.  The cap
+    still counts the N ancillas.  The trials are independent, so they are
+    drawn in one pass from that marginal.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = q.universe_size
     n_in = q.state.n_qubits
-    total = n_in + n
-    check_register_cap(total, cap)
+    check_register_cap(n_in + n, cap)
     v_start, _ = q.layout.segment(VALUE_SEGMENT)
-    padded = StateVector(total, np.kron(q.state.amplitudes, _zero_block(n)))
-    routed = _com_xor(padded, u_start=v_start, u_len=n)
-    probs = np.abs(routed.amplitudes) ** 2
-    patterns = np.arange(1 << total, dtype=np.int64) & ((1 << n) - 1)
-    pattern_probs = np.bincount(patterns, weights=probs, minlength=1 << n)
-    index_probs = np.zeros(n + 1)
-    for pat in np.nonzero(pattern_probs)[0]:
-        index_probs[_decode_one_hot(int(pat), n)] += pattern_probs[pat]
+    value_bits = _segment_bits(np.arange(q.state.dim, dtype=np.int64), n_in, v_start, n)
+    index_probs = np.bincount(
+        _com_table(n)[value_bits],
+        weights=np.abs(q.state.amplitudes) ** 2,
+        minlength=n + 1,
+    )
     index_probs /= index_probs.sum()
     counts = rng.multinomial(trials, index_probs)
     return {int(i): int(c) for i, c in enumerate(counts) if c}
@@ -418,10 +407,7 @@ def superpose(
         raise ValueError("superpose needs at least one term")
     n = terms[0][1].universe_size
     for _, f in terms:
-        if f.universe_size != n:
-            raise ValueError(
-                f"universe size mismatch: {f.universe_size} vs {n}"
-            )
+        common_universe(f, terms[0][1])
     vec = np.zeros(1 << n, dtype=np.complex128)
     for c, f in terms:
         vec += complex(c) * encode(f, cap).state.amplitudes

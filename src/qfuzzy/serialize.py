@@ -16,6 +16,7 @@ import numpy as np
 from .analysis import EntanglementReport
 from .fuzzy import CrispSubset, FuzzySet
 from .qfs import QuantumFuzzySet, RegisterLayout
+from .statevec import StateVector, check_register_cap
 
 
 def format_real(x: float) -> str:
@@ -117,9 +118,9 @@ def qfs_to_dict(q: QuantumFuzzySet) -> dict:
     }
 
 
-def qfs_from_dict(d: Mapping) -> QuantumFuzzySet:
-    from .statevec import StateVector
-
+def qfs_from_dict(d: Mapping, cap: int) -> QuantumFuzzySet:
+    """Parse a state document; a layout wider than ``cap`` qubits raises
+    :class:`ResourceLimitError` before any amplitude is read."""
     if not isinstance(d, Mapping):
         raise ValueError(f"state must be a JSON object, got {type(d).__name__}")
     layout_rows = _require(d, "layout", "state")
@@ -131,6 +132,7 @@ def qfs_from_dict(d: Mapping) -> QuantumFuzzySet:
         name, start, length = row
         segments.append((str(name), int(start), int(length)))
     layout = RegisterLayout(tuple(segments))
+    check_register_cap(layout.total_qubits, cap)
     if not isinstance(raw, (list, tuple)):
         raise ValueError("amplitudes must be an array of [re, im] pairs")
     amps = np.zeros(len(raw), dtype=np.complex128)

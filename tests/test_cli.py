@@ -276,6 +276,15 @@ def test_sample_accepts_trials_alias(capsys, monkeypatch):
     assert json.loads(out) == {"shots": 7, "counts": {"1": 7}}
 
 
+@pytest.mark.parametrize("command", ["report", "sample"])
+def test_state_commands_respect_cap(capsys, monkeypatch, command):
+    state = encoded_state_json(capsys, monkeypatch, [0.5, 0.2, 0.9])
+    code, out, err = run_cli(capsys, monkeypatch, [command, "--qubit-cap", "1"], state)
+    assert code == 3
+    assert out == ""
+    assert "3 qubits exceeds the cap of 1" in err
+
+
 # --- files ----------------------------------------------------------------------
 
 

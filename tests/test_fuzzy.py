@@ -10,7 +10,6 @@ from qfuzzy.fuzzy import (
     FuzzySet,
     classical_fuzzify,
     com_index,
-    com_index_literal,
     com_pushforward,
     complement,
     crisp_subset_probability,
@@ -178,12 +177,6 @@ def test_com_sentinel():
 
 def test_com_accepts_crisp_subset():
     assert com_index(CrispSubset("0011")) == 3
-
-
-def test_com_literal_denominator():
-    # dividing by 1 + 2 + ... + N sends most inputs to 0
-    assert com_index_literal("0110") == 0
-    assert com_index_literal("11") == 1
 
 
 def test_com_reflection_covariance():

@@ -24,7 +24,16 @@ from qfuzzy.qfs import (
     u_com,
     value_marginals,
 )
-from qfuzzy.statevec import StateVector, basis_state, schmidt_rank
+from qfuzzy.statevec import (
+    PAULI_X,
+    StateVector,
+    apply_controlled,
+    apply_single,
+    basis_state,
+    ground_state,
+    schmidt_rank,
+    tensor_product,
+)
 
 HALF = math.sqrt(0.5)
 
@@ -469,3 +478,125 @@ def test_defuzzify_superposed_state_matches_enumeration():
         for i in set(counts) | set(expected)
     )
     assert tv < 0.01
+
+
+# --- gate-level reference -----------------------------------------------------------
+#
+# The paper's circuits, one gate at a time on the dense simulator.  The library
+# computes the same maps as kron products and single gathers, which do no
+# arithmetic on amplitudes beyond the rotation products, so the results must
+# be equal, not merely close.
+
+
+def gate_encode(f):
+    state = ground_state(f.universe_size)
+    for i, p in enumerate(f.memberships, start=1):
+        state = apply_single(state, rotation_gate(float(p)), i)
+    return state
+
+
+def gate_qnot(state, qubits):
+    for i in qubits:
+        state = apply_single(state, PAULI_X, i)
+    return state
+
+
+def gate_qand(a, b):
+    """One Toffoli per element onto fresh output qubits."""
+    n = a.universe_size
+    a_total, b_total = a.state.n_qubits, b.state.n_qubits
+    state = tensor_product(tensor_product(a.state, b.state), ground_state(n))
+    for i in range(n):
+        controls = [a.value_qubits[i], a_total + b.value_qubits[i]]
+        state = apply_controlled(state, PAULI_X, controls, a_total + b_total + 1 + i)
+    return state
+
+
+def gate_qor(a, b):
+    n = a.universe_size
+    g = gate_qand(
+        QuantumFuzzySet(gate_qnot(a.state, a.value_qubits), a.layout),
+        QuantumFuzzySet(gate_qnot(b.state, b.value_qubits), b.layout),
+    )
+    return gate_qnot(g, range(g.n_qubits - n + 1, g.n_qubits + 1))
+
+
+def gate_com_xor(state, u_qubits, v_start):
+    """For each nonzero pattern u of ``u_qubits``, an X on qubit
+    v_start + com(u) - 1 controlled on the u qubits reading exactly u
+    (the 0-controls are conjugated by X)."""
+    u_qubits = list(u_qubits)
+    n = len(u_qubits)
+    for u in range(1, 1 << n):
+        bits = format(u, f"0{n}b")
+        zeros = [q for q, bit in zip(u_qubits, bits) if bit == "0"]
+        target = v_start + com_index(bits) - 1
+        state = gate_qnot(state, zeros)
+        state = apply_controlled(state, PAULI_X, u_qubits, target)
+        state = gate_qnot(state, zeros)
+    return state
+
+
+def reference_defuzzify(q, rng, trials):
+    """DEFUZ as a circuit: pad with N ancillas, route the value segment's
+    center of mass into them, and sample the ancillas' one-hot marginal."""
+    n, n_in = q.universe_size, q.state.n_qubits
+    routed = gate_com_xor(
+        tensor_product(q.state, ground_state(n)), q.value_qubits, n_in + 1
+    )
+    ancillas = np.arange(routed.dim) & ((1 << n) - 1)
+    pattern_probs = np.bincount(
+        ancillas, weights=np.abs(routed.amplitudes) ** 2, minlength=1 << n
+    )
+    one_hot = [0] + [1 << (n - c) for c in range(1, n + 1)]
+    assert not np.delete(pattern_probs, one_hot).any()
+    index_probs = pattern_probs[one_hot]
+    index_probs /= index_probs.sum()
+    counts = rng.multinomial(trials, index_probs)
+    return {int(i): int(c) for i, c in enumerate(counts) if c}
+
+
+def oracle_operands(rng, n):
+    """Encoded, crisp, grown (AND output) and entangled (SUPERPOSE, and an
+    AND over it) registers with a universe of n."""
+    a, b = encode(random_fuzzy(rng, n)), encode(random_fuzzy(rng, n))
+    crisp = encode(FuzzySet(rng.integers(0, 2, n).astype(float)))
+    entangled = superpose([(0.6, random_fuzzy(rng, n)), (0.8j, random_fuzzy(rng, n))])
+    return [a, crisp, qand(a, b), entangled, qand(entangled, b)]
+
+
+def test_encode_equals_rotation_circuit():
+    rng = np.random.default_rng(227)
+    for n in range(1, 9):
+        m = rng.random(n)
+        m[rng.integers(0, n)] = rng.integers(0, 2)  # a crisp element too
+        f = FuzzySet(m)
+        assert np.array_equal(encode(f).state.amplitudes, gate_encode(f).amplitudes)
+
+
+def test_connectives_equal_gate_circuits():
+    rng = np.random.default_rng(229)
+    operands = oracle_operands(rng, 2)
+    for q in operands:
+        expected = gate_qnot(q.state, q.value_qubits)
+        assert np.array_equal(qnot(q).state.amplitudes, expected.amplitudes)
+    for a in operands:
+        for b in operands:
+            got_and, got_or = qand(a, b).state, qor(a, b).state
+            assert np.array_equal(got_and.amplitudes, gate_qand(a, b).amplitudes)
+            assert np.array_equal(got_or.amplitudes, gate_qor(a, b).amplitudes)
+
+
+def test_u_com_equals_controlled_x_circuit():
+    rng = np.random.default_rng(233)
+    for n in range(1, 4):
+        for state in (random_state(rng, 2 * n), encode(random_fuzzy(rng, 2 * n)).state):
+            expected = gate_com_xor(state, range(1, n + 1), n + 1)
+            assert np.array_equal(u_com(state).amplitudes, expected.amplitudes)
+
+
+def test_defuzzify_equals_u_com_on_padded_register():
+    rng = np.random.default_rng(239)
+    for q in oracle_operands(rng, 2) + oracle_operands(rng, 3)[:2]:
+        got = defuzzify(q, np.random.default_rng(17), 1000)
+        assert got == reference_defuzzify(q, np.random.default_rng(17), 1000)

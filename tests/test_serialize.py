@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from qfuzzy import serialize
 from qfuzzy.analysis import entanglement_report
+from qfuzzy.errors import ResourceLimitError
 from qfuzzy.fuzzy import CrispSubset, FuzzySet
 from qfuzzy.qfs import encode, qand
+from qfuzzy.statevec import DEFAULT_QUBIT_CAP
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -55,7 +57,7 @@ def test_crisp_subset_round_trip():
 def test_qfs_round_trip_bit_exact():
     q = qand(encode(FuzzySet([0.3, 0.6])), encode(FuzzySet([0.9, 0.2])))
     d = json.loads(serialize.dumps(serialize.qfs_to_dict(q)))
-    back = serialize.qfs_from_dict(d)
+    back = serialize.qfs_from_dict(d, DEFAULT_QUBIT_CAP)
     assert back.layout == q.layout
     assert np.array_equal(back.state.amplitudes, q.state.amplitudes)
     assert back.universe_size == q.universe_size
@@ -68,7 +70,7 @@ def test_qfs_from_dict_rejects_bad_norm():
         "amplitudes": [[0.5, 0], [0.5, 0]],
     }
     with pytest.raises(ValueError, match="not normalized"):
-        serialize.qfs_from_dict(d)
+        serialize.qfs_from_dict(d, DEFAULT_QUBIT_CAP)
 
 
 def test_qfs_from_dict_rejects_wrong_length():
@@ -78,7 +80,7 @@ def test_qfs_from_dict_rejects_wrong_length():
         "amplitudes": [[1, 0], [0, 0]],
     }
     with pytest.raises(ValueError, match="expected 4 amplitudes"):
-        serialize.qfs_from_dict(d)
+        serialize.qfs_from_dict(d, DEFAULT_QUBIT_CAP)
 
 
 def test_qfs_from_dict_rejects_universe_mismatch():
@@ -88,7 +90,17 @@ def test_qfs_from_dict_rejects_universe_mismatch():
         "amplitudes": [[1, 0], [0, 0]],
     }
     with pytest.raises(ValueError, match="universe_size"):
-        serialize.qfs_from_dict(d)
+        serialize.qfs_from_dict(d, DEFAULT_QUBIT_CAP)
+
+
+def test_qfs_from_dict_checks_cap_before_amplitudes():
+    d = {
+        "layout": [["in", 1, 20], ["value", 21, 10]],
+        "universe_size": 10,
+        "amplitudes": "never parsed",
+    }
+    with pytest.raises(ResourceLimitError, match="30 qubits exceeds the cap of 24"):
+        serialize.qfs_from_dict(d, DEFAULT_QUBIT_CAP)
 
 
 def test_report_serialization_shape():
@@ -111,5 +123,5 @@ def test_qfs_from_dict_renormalizes_rounded_input():
         "universe_size": 2,
         "amplitudes": [[amp, 0]] * 4,
     }
-    q = serialize.qfs_from_dict(d)
+    q = serialize.qfs_from_dict(d, DEFAULT_QUBIT_CAP)
     assert abs(q.state.norm() - 1.0) <= 1e-12
