@@ -9,12 +9,7 @@ import numpy as np
 
 from .fuzzy import FuzzySet, common_universe, oracle_distribution
 from .qfs import QuantumFuzzySet, encode
-from .statevec import (
-    StateVector,
-    factor_product_state,
-    sample_distribution,
-    schmidt_rank,
-)
+from .statevec import StateVector, _qubit_split, sample_distribution
 
 #: Phases below this magnitude are reported as exactly 0.
 PHASE_SNAP_TOL = 1e-10
@@ -84,17 +79,9 @@ def entanglement_report(q: QuantumFuzzySet | StateVector) -> EntanglementReport:
     the fuzzy set and per-qubit phases recovered by rotating each factor back
     to the zero-phase meridian."""
     state = q.state if isinstance(q, QuantumFuzzySet) else q
-    n = state.n_qubits
-    if n == 1:
-        ranks: tuple[int, ...] = (1,)
-    else:
-        ranks = tuple(schmidt_rank(state, {i}) for i in range(1, n + 1))
-    is_product = all(r == 1 for r in ranks)
-    if not is_product:
-        return EntanglementReport(ranks, False, None, None, None)
-    factors = factor_product_state(state)
+    ranks, factors = _qubit_split(state)
     if factors is None:
-        raise RuntimeError("rank-1 state failed to factor; tolerances disagree")
+        return EntanglementReport(ranks, False, None, None, None)
     memberships = []
     phases = []
     for factor in factors:

@@ -41,13 +41,23 @@ class PipelineSpec:
     qubit_cap: int = DEFAULT_QUBIT_CAP
 
 
+def _spec_int(d: dict, key: str, default: int | None, minimum: int) -> int:
+    """A spec field: a JSON integer (not a bool or a float) >= ``minimum``."""
+    value = d.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(
+            f"{key} must be an integer >= {minimum}, got {json.dumps(value)}"
+        )
+    return value
+
+
 def _pipeline_from_dict(d: object) -> PipelineSpec:
     if not isinstance(d, dict):
         raise ValueError(f"pipeline spec must be a JSON object, got {type(d).__name__}")
     for key in ("universe_size", "sets", "expression"):
         if key not in d:
             raise ValueError(f"pipeline spec is missing the {key!r} field")
-    n = int(d["universe_size"])
+    n = _spec_int(d, "universe_size", None, 1)
     raw_sets = d["sets"]
     if not isinstance(raw_sets, dict):
         raise ValueError("sets must be an object mapping names to membership arrays")
@@ -66,9 +76,9 @@ def _pipeline_from_dict(d: object) -> PipelineSpec:
         sets=sets,
         expression=str(d["expression"]),
         mode=str(d.get("mode", "classical")),
-        seed=int(d.get("seed", 0)),
-        trials=int(d.get("trials", 10000)),
-        qubit_cap=int(d.get("qubit_cap", DEFAULT_QUBIT_CAP)),
+        seed=_spec_int(d, "seed", 0, 0),
+        trials=_spec_int(d, "trials", 10000, 1),
+        qubit_cap=_spec_int(d, "qubit_cap", DEFAULT_QUBIT_CAP, 0),
     )
 
 

@@ -22,7 +22,6 @@ from .statevec import (
     NORM_TOL,
     StateVector,
     check_register_cap,
-    one_probabilities,
 )
 
 VALUE_SEGMENT = "value"
@@ -195,29 +194,25 @@ def qand(
     In the paper the register a (x) b (x) |0..0> gets, for each element i, a
     Toffoli controlled by the value qubits of ``a`` and ``b`` targeting a
     fresh output qubit.  The Toffolis act on disjoint targets, so together
-    they are the basis permutation out ^= a_value & b_value, applied as one
-    gather.  The inputs are kept; the output segment becomes the value
-    segment.  For encoded inputs the output marginal of element i is
-    f(i) * g(i).
+    they are the basis permutation out ^= a_value & b_value; as the output
+    starts at 0, each amplitude of a (x) b is scattered to its one image.
+    The inputs are kept; the output segment becomes the value segment.  For
+    encoded inputs the output marginal of element i is f(i) * g(i).
     """
     n = common_universe(a, b)
     a_total = a.state.n_qubits
     b_total = b.state.n_qubits
     total = a_total + b_total + n
     check_register_cap(total, cap)
-    amps = np.kron(
-        np.kron(a.state.amplitudes, b.state.amplitudes),
-        _product_amplitudes(np.zeros(n)),
-    )
+    src = np.kron(a.state.amplitudes, b.state.amplitudes)
     a_start = a.layout.segment(VALUE_SEGMENT)[0]
     b_start = a_total + b.layout.segment(VALUE_SEGMENT)[0]
-
-    def both_set(idx: np.ndarray) -> np.ndarray:
-        bits = _segment_bits(idx, total, a_start, n)
-        bits &= _segment_bits(idx, total, b_start, n)
-        return bits  # the output segment is the last n qubits: no shift
-
-    state = _xor_gather(StateVector(total, amps), both_set)
+    idx = np.arange(src.size, dtype=np.int64)
+    out_bits = _segment_bits(idx, a_total + b_total, a_start, n)
+    out_bits &= _segment_bits(idx, a_total + b_total, b_start, n)
+    amps = np.zeros(1 << total, dtype=np.complex128)
+    amps[(idx << n) | out_bits] = src
+    state = StateVector(total, amps)
     layout = RegisterLayout(
         a.layout.relabeled("a.")
         + b.layout.relabeled("b.", offset=a_total)
@@ -424,6 +419,9 @@ def superpose(
 
 
 def value_marginals(q: QuantumFuzzySet) -> np.ndarray:
-    """Per-element probabilities of measuring 1 on the value segment."""
-    probs = one_probabilities(q.state)
-    return np.array([probs[i - 1] for i in q.value_qubits])
+    """Per-element probabilities of measuring 1 on the value segment, from
+    the Born probabilities summed once over the qubits outside it."""
+    start, n = q.layout.segment(VALUE_SEGMENT)
+    probs = np.abs(q.state.amplitudes) ** 2
+    seg = probs.reshape(1 << (start - 1), 1 << n, -1).sum(axis=(0, 2))
+    return np.array([seg.reshape(1 << i, 2, -1)[:, 1, :].sum() for i in range(n)])

@@ -266,41 +266,43 @@ def schmidt_rank(
     return int(np.count_nonzero(singular > sv_tol))
 
 
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Make the |0> coefficient real non-negative (|1> coefficient if it is 0)."""
-    pivot = vec[0] if abs(vec[0]) > EXACT_TOL else vec[1]
-    return vec * (pivot.conjugate() / abs(pivot))
-
-
-def factor_product_state(
-    state: StateVector,
-    tol: float = NORM_TOL,
-) -> list[StateVector] | None:
-    """Split ``state`` into per-qubit factors, or return None if entangled.
-
-    Factors are phase-fixed so their |0> coefficient is real non-negative;
-    their tensor product matches ``state`` within ``tol`` up to a global
-    phase.  The entangled verdict agrees with :func:`schmidt_rank` being
-    greater than 1 on some 1-vs-rest bipartition.
-    """
+def _qubit_split(state: StateVector) -> tuple[tuple[int, ...], list[StateVector] | None]:
+    """Schmidt rank of every 1-vs-rest bipartition and, when all are 1, the
+    phase-fixed factors.  Each qubit-vs-rest matrix m is decomposed once: as
+    m = R.T Q.T for m.T = QR, the 2x2 SVD of R.T gives m's singular values
+    and left vectors (Chan's R-SVD, ACM TOMS 8(1), 1982).  A product rebuilt
+    from the top left vectors lies within sqrt(sum of discarded s^2) of the
+    state; farther off than twice that is a numerical fault."""
     n = state.n_qubits
-    if n == 1:
-        return [StateVector(1, _fix_phase(state.amplitudes.copy()))]
     psi = state.amplitudes.reshape([2] * n)
-    factors = []
+    ranks, tops, discarded = [], [], 0.0
     for q in range(n):
-        mat = np.moveaxis(psi, q, 0).reshape(2, -1)
-        u, s, _ = np.linalg.svd(mat, full_matrices=False)
-        if s[1] > RANK_SV_TOL:
-            return None
-        factors.append(_fix_phase(u[:, 0]))
-    product = reduce(np.kron, factors)
-    pivot = int(np.argmax(np.abs(product)))
-    phase = state.amplitudes[pivot] / product[pivot]
-    phase = phase / abs(phase)
-    if np.max(np.abs(product * phase - state.amplitudes)) > tol:
-        return None
-    return [StateVector(1, f) for f in factors]
+        m = np.moveaxis(psi, q, 0).reshape(2, -1)
+        u, s, _ = np.linalg.svd(np.linalg.qr(m.T, mode="r").T)
+        ranks.append(int(np.count_nonzero(s > RANK_SV_TOL)))
+        # fix the phase: |0> coefficient (|1> if that is 0) real non-negative
+        pivot = u[0, 0] if abs(u[0, 0]) > EXACT_TOL else u[1, 0]
+        tops.append(u[:, 0] * (pivot.conjugate() / abs(pivot)))
+        discarded += float(np.sum(s[1:] ** 2))
+    if any(r != 1 for r in ranks):
+        return tuple(ranks), None
+    product = reduce(np.kron, tops)
+    rebuilt = product * np.vdot(product, state.amplitudes)
+    deviation = float(np.max(np.abs(rebuilt - state.amplitudes)))
+    bound = NORM_TOL + 2.0 * math.sqrt(discarded)
+    if deviation > bound:
+        raise RuntimeError(
+            f"product factors miss the state by {deviation:.3e} > {bound:.3e}"
+        )
+    return tuple(ranks), [StateVector(1, f) for f in tops]
+
+
+def factor_product_state(state: StateVector) -> list[StateVector] | None:
+    """Split ``state`` into phase-fixed per-qubit factors (|0> coefficient
+    real non-negative), or return None unless :func:`schmidt_rank` is 1 on
+    every 1-vs-rest bipartition.  Scaled by its overlap with ``state``, their
+    kron matches it within NORM_TOL + 2 sqrt(sum of discarded singular values^2)."""
+    return _qubit_split(state)[1]
 
 
 def bloch_point(q: StateVector) -> tuple[float, float, float]:

@@ -157,6 +157,18 @@ def test_eval_missing_field(capsys, monkeypatch):
     assert "missing" in err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("universe_size", 2.7), ("seed", True), ("qubit_cap", -5)],
+)
+def test_eval_rejects_non_integer_spec_fields(capsys, monkeypatch, field, value):
+    spec = eval_spec(universe_size=2, sets={"A": [0.5, 0.5], "B": [0.5, 0.5]})
+    spec = json.dumps({**json.loads(spec), field: value})
+    code, _, err = run_cli(capsys, monkeypatch, ["eval"], spec)
+    assert code == 2
+    assert field in err
+
+
 def test_eval_flag_overrides_mode(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys, monkeypatch, ["eval", "--mode", "quantum"], eval_spec(mode="classical")
@@ -217,6 +229,24 @@ def test_report_bell_state(capsys, monkeypatch):
     assert payload["per_qubit_schmidt_ranks"] == [2, 2]
     assert payload["canonical_fuzzy_set"] is None
     assert payload["bloch_points"] is None
+
+
+def test_report_near_product_state(capsys, monkeypatch):
+    # singular values 1 and 5e-9: below the rank cutoff, so a product, though
+    # the best product state is 5e-9 away from the input
+    state = json.dumps(
+        {
+            "layout": [["value", 1, 2]],
+            "universe_size": 2,
+            "amplitudes": [[1, 0], [0, 0], [0, 0], [5e-9, 0]],
+        }
+    )
+    code, out, _ = run_cli(capsys, monkeypatch, ["report"], state)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["per_qubit_schmidt_ranks"] == [1, 1]
+    assert payload["is_product"] is True
+    assert payload["canonical_fuzzy_set"]["memberships"] == pytest.approx([0, 0])
 
 
 def test_report_bloch_point_on_equator(capsys, monkeypatch):

@@ -31,6 +31,7 @@ from qfuzzy.statevec import (
     apply_single,
     basis_state,
     ground_state,
+    one_probabilities,
     schmidt_rank,
     tensor_product,
 )
@@ -204,6 +205,19 @@ def test_qand_chains_keep_growing():
     assert out.state.n_qubits == 10
     expected = f.memberships * g.memberships * h.memberships
     assert np.max(np.abs(value_marginals(out) - expected)) <= 1e-12
+
+
+def test_value_marginals_match_one_probabilities():
+    rng = np.random.default_rng(61)
+    state = random_state(rng, 6)
+    for segments in (
+        (("value", 1, 6),),
+        (("x", 1, 2), ("value", 3, 4)),
+        (("x", 1, 2), ("value", 3, 3), ("y", 6, 1)),
+    ):
+        q = QuantumFuzzySet(state, RegisterLayout(segments))
+        expected = one_probabilities(state)[[i - 1 for i in q.value_qubits]]
+        assert np.max(np.abs(value_marginals(q) - expected)) <= 1e-15
 
 
 def test_qand_size_mismatch():

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import random_product_state, random_state, random_unitary
 
+from qfuzzy.analysis import entanglement_report
 from qfuzzy.errors import ResourceLimitError
 from qfuzzy.fuzzy import FuzzySet
 from qfuzzy.qfs import encode, rotation_gate
@@ -361,14 +362,30 @@ def test_schmidt_rank_invalid_bipartition():
         schmidt_rank(BELL, {1, 2})
 
 
+def weakly_entangled_state(rng, n, eps):
+    """A random product state with qubits 1 and 2 replaced by the pair
+    (|00> + eps|11>)/norm, whose smaller singular value is about eps."""
+    pair = np.array([1, 0, 0, eps]) / math.sqrt(1 + eps * eps)
+    rest = random_product_state(rng, n - 2).amplitudes
+    return StateVector(n, np.kron(pair, rest))
+
+
 def test_factor_and_schmidt_agree():
     rng = np.random.default_rng(43)
+    states = [random_state(rng, 1), random_product_state(rng, 1)]
     for _ in range(10):
         n = int(rng.integers(2, 5))
-        for state in (random_product_state(rng, n), random_state(rng, n)):
-            ranks = [schmidt_rank(state, {q}) for q in range(1, n + 1)]
-            factors = factor_product_state(state)
-            assert (factors is not None) == all(r == 1 for r in ranks)
+        states += [random_product_state(rng, n), random_state(rng, n)]
+    for eps in (1e-6, 3e-8, 1e-8, 5e-9, 1e-12):
+        states.append(weakly_entangled_state(rng, 4, eps))
+    for state in states:
+        n = state.n_qubits
+        ranks = [schmidt_rank(state, {q}) for q in range(1, n + 1)] if n > 1 else [1]
+        factors = factor_product_state(state)
+        assert (factors is not None) == all(r == 1 for r in ranks)
+        report = entanglement_report(state)
+        assert list(report.per_qubit_schmidt_ranks) == ranks
+        assert report.is_product == (report.factors is not None)
 
 
 def test_bloch_poles():
