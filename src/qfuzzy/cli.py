@@ -43,12 +43,7 @@ class PipelineSpec:
 
 def _spec_int(d: dict, key: str, default: int | None, minimum: int) -> int:
     """A spec field: a JSON integer (not a bool or a float) >= ``minimum``."""
-    value = d.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValueError(
-            f"{key} must be an integer >= {minimum}, got {json.dumps(value)}"
-        )
-    return value
+    return serialize.json_int(d.get(key, default), key, minimum)
 
 
 def _pipeline_from_dict(d: object) -> PipelineSpec:

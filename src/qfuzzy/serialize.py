@@ -9,6 +9,7 @@ output byte-stable, which the golden tests rely on.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any, Mapping
 
 import numpy as np
@@ -23,20 +24,26 @@ def format_real(x: float) -> str:
     return format(float(x) + 0.0, ".17g")  # +0.0 folds -0.0 into 0
 
 
+def _complex_pairs(amps: np.ndarray) -> str:
+    """``[[re, im], ...]`` for a complex vector in one join; "%.17g" % x is
+    the text of format(x, ".17g"), and the +0.0 folds -0.0 as in
+    :func:`format_real`."""
+    pairs = zip((amps.real + 0.0).tolist(), (amps.imag + 0.0).tolist())
+    return "[" + ", ".join(map("[%.17g, %.17g]".__mod__, pairs)) + "]"
+
+
 def _emit(obj: Any, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    # the concrete types come first: the Mapping ABC check is slow
+    if isinstance(obj, (float, np.floating)):
         out.append(format_real(obj))
-    elif isinstance(obj, Mapping):
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, value in enumerate(obj):
+            if i:
+                out.append(", ")
+            _emit(value, out)
+        out.append("]")
+    elif isinstance(obj, (dict, Mapping)):
         out.append("{")
         for i, (key, value) in enumerate(obj.items()):
             if i:
@@ -47,22 +54,37 @@ def _emit(obj: Any, out: list[str]) -> None:
             out.append(": ")
             _emit(value, out)
         out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                out.append(", ")
-            _emit(value, out)
-        out.append("]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.complex128:
+        out.append(_complex_pairs(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(obj: Any) -> str:
-    """Deterministic JSON text: insertion-order objects, 17-digit reals."""
+    """Deterministic JSON text: insertion-order objects, 17-digit reals; a
+    1-D complex array is written as a list of [re, im] pairs."""
     out: list[str] = []
     _emit(obj, out)
     return "".join(out)
+
+
+def json_int(value: Any, what: str, minimum: int) -> int:
+    """A JSON integer (not a bool, a float or a string) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(
+            f"{what} must be an integer >= {minimum}, got {json.dumps(value)}"
+        )
+    return value
 
 
 def _require(d: Mapping, key: str, what: str) -> Any:
@@ -111,40 +133,55 @@ def crisp_subset_from_dict(d: Mapping) -> CrispSubset:
 
 
 def qfs_to_dict(q: QuantumFuzzySet) -> dict:
+    """The state document; ``amplitudes`` is the complex amplitude array,
+    which :func:`dumps` writes as [re, im] pairs."""
     return {
         "layout": [[name, start, length] for name, start, length in q.layout.segments],
         "universe_size": q.universe_size,
-        "amplitudes": [[float(a.real), float(a.imag)] for a in q.state.amplitudes],
+        "amplitudes": q.state.amplitudes,
     }
 
 
 def qfs_from_dict(d: Mapping, cap: int) -> QuantumFuzzySet:
     """Parse a state document; a layout wider than ``cap`` qubits raises
-    :class:`ResourceLimitError` before any amplitude is read."""
+    :class:`ResourceLimitError`, and an amplitude count that does not match
+    the layout a ValueError, before any amplitude is read."""
     if not isinstance(d, Mapping):
         raise ValueError(f"state must be a JSON object, got {type(d).__name__}")
     layout_rows = _require(d, "layout", "state")
     raw = _require(d, "amplitudes", "state")
+    declared = json_int(_require(d, "universe_size", "state"), "universe_size", 1)
+    if not isinstance(layout_rows, (list, tuple)):
+        raise ValueError("layout must be an array of [name, start, length] rows")
     segments = []
     for row in layout_rows:
         if not (isinstance(row, (list, tuple)) and len(row) == 3):
             raise ValueError(f"layout rows must be [name, start, length], got {row!r}")
         name, start, length = row
-        segments.append((str(name), int(start), int(length)))
+        start = json_int(start, "layout start", 1)
+        segments.append((str(name), start, json_int(length, "layout length", 1)))
     layout = RegisterLayout(tuple(segments))
-    check_register_cap(layout.total_qubits, cap)
+    total = layout.total_qubits
+    check_register_cap(total, cap)
     if not isinstance(raw, (list, tuple)):
         raise ValueError("amplitudes must be an array of [re, im] pairs")
-    amps = np.zeros(len(raw), dtype=np.complex128)
-    for i, pair in enumerate(raw):
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise ValueError(f"amplitude {i} must be a [re, im] pair, got {pair!r}")
-        amps[i] = complex(float(pair[0]), float(pair[1]))
-    if len(raw) != 1 << layout.total_qubits:
+    if len(raw) != 1 << total:
         raise ValueError(
-            f"expected {1 << layout.total_qubits} amplitudes for "
-            f"{layout.total_qubits} qubits, got {len(raw)}"
+            f"expected {1 << total} amplitudes for {total} qubits, got {len(raw)}"
         )
+    # checked in bulk: every pair a 2-element array, every part a JSON
+    # number (a bool is not one, though numpy would read it as 0 or 1)
+    if not (
+        set(map(type, raw)) <= {list, tuple}
+        and set(map(len, raw)) == {2}
+        and set(map(type, chain.from_iterable(raw))) <= {int, float}
+    ):
+        raise ValueError("amplitudes must be [re, im] pairs of JSON numbers")
+    parts = chain.from_iterable(raw)
+    try:
+        amps = np.fromiter(parts, np.float64, 2 * len(raw)).view(np.complex128)
+    except OverflowError:
+        raise ValueError("amplitudes must be finite") from None
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"state is not normalized (norm {norm:.9f})")
@@ -152,9 +189,8 @@ def qfs_from_dict(d: Mapping, cap: int) -> QuantumFuzzySet:
         # hand-written inputs are often rounded; renormalize them, but leave
         # machine-precision values untouched so round trips stay bit-exact
         amps = amps / norm
-    state = StateVector(layout.total_qubits, amps)
+    state = StateVector(total, amps)
     q = QuantumFuzzySet(state, layout)
-    declared = _require(d, "universe_size", "state")
     if declared != q.universe_size:
         raise ValueError(
             f"universe_size {declared} does not match the value segment "

@@ -52,7 +52,7 @@ class StateVector:
                 f"expected {1 << self.n_qubits} amplitudes for "
                 f"{self.n_qubits} qubits, got shape {amps.shape}"
             )
-        if not np.all(np.isfinite(amps)):
+        if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -202,24 +202,27 @@ def measure_qubits(
         raise ValueError("at least one target qubit is required")
     for q in targets:
         _check_qubit(state, q, "target")
-    if len(set(targets)) != len(targets):
+    measured = set(targets)
+    if len(measured) != len(targets):
         raise ValueError(f"measurement targets must be distinct, got {targets}")
-    n = state.n_qubits
-    probs = np.abs(state.amplitudes) ** 2
+    n, k = state.n_qubits, len(targets)
+    # the register as a tensor with the targets' axes first, in target order
+    order = [t - 1 for t in targets] + [q for q in range(n) if q + 1 not in measured]
+    psi = state.amplitudes.reshape([2] * n).transpose(order)
+    probs = (np.abs(psi) ** 2).reshape(1 << k, -1).sum(axis=1)
     total = probs.sum()
     if total < NORM_TOL:
         raise ValueError("cannot measure a state of vanishing norm")
-    k = len(targets)
-    idx = np.arange(1 << n)
-    outcome_of = np.zeros(1 << n, dtype=np.int64)
-    for j, t in enumerate(targets):
-        outcome_of |= ((idx >> (n - t)) & 1) << (k - 1 - j)
-    outcome_probs = np.bincount(outcome_of, weights=probs, minlength=1 << k)
-    outcome_probs /= total
-    drawn = int(rng.choice(1 << k, p=outcome_probs))
-    amps = np.where(outcome_of == drawn, state.amplitudes, 0.0)
-    amps = amps / np.linalg.norm(amps)
-    return format(drawn, f"0{k}b"), StateVector(n, amps)
+    # Generator.choice(1 << k, p=probs / total) draws one uniform and
+    # searches this CDF; doing it here skips choice's per-call validation
+    cdf = (probs / total).cumsum()
+    cdf /= cdf[-1]
+    drawn = int(cdf.searchsorted(rng.random(), side="right"))
+    bits = format(drawn, f"0{k}b")
+    block = tuple(map(int, bits))
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps.reshape([2] * n).transpose(order)[block] = psi[block] / math.sqrt(probs[drawn])
+    return bits, StateVector(n, amps)
 
 
 def sample_distribution(
@@ -266,19 +269,38 @@ def schmidt_rank(
     return int(np.count_nonzero(singular > sv_tol))
 
 
+def _inner(x: np.ndarray, y: np.ndarray) -> complex:
+    """<x, y> of two equally shaped 2-D views, reduced along the longer axis."""
+    return complex(np.vecdot(x, y, axis=int(x.shape[0] <= x.shape[1])).sum())
+
+
 def _qubit_split(state: StateVector) -> tuple[tuple[int, ...], list[StateVector] | None]:
     """Schmidt rank of every 1-vs-rest bipartition and, when all are 1, the
-    phase-fixed factors.  Each qubit-vs-rest matrix m is decomposed once: as
-    m = R.T Q.T for m.T = QR, the 2x2 SVD of R.T gives m's singular values
-    and left vectors (Chan's R-SVD, ACM TOMS 8(1), 1982).  A product rebuilt
-    from the top left vectors lies within sqrt(sum of discarded s^2) of the
-    state; farther off than twice that is a numerical fault."""
+    phase-fixed factors.  The qubit-vs-rest matrix m has two rows, the halves
+    a and b of the register where the qubit is 0 and 1, read as strided views
+    without a copy.  One Gram-Schmidt step gives the R factor of the QR
+    decomposition m.T = [a b] = QR: r11 = |a|, r12 = <a, b>/r11 and
+    r22 = |b - r12 a/r11|, each within about eps |m| of the Householder R
+    (when |a|^2 is subnormal r11 loses digits, but r11 then scales every
+    error it causes in the singular values).  As m = R.T Q.T, the 2x2 SVD of
+    R.T gives m's singular values and left vectors (Chan's R-SVD, ACM TOMS
+    8(1), 1982).  The one temporary, the residual, is half a register.  A
+    product rebuilt from the top left vectors lies within sqrt(sum of
+    discarded s^2) of the state; farther off than twice that is a numerical
+    fault."""
     n = state.n_qubits
-    psi = state.amplitudes.reshape([2] * n)
     ranks, tops, discarded = [], [], 0.0
     for q in range(n):
-        m = np.moveaxis(psi, q, 0).reshape(2, -1)
-        u, s, _ = np.linalg.svd(np.linalg.qr(m.T, mode="r").T)
+        halves = state.amplitudes.reshape(1 << q, 2, -1)
+        a, b = halves[:, 0], halves[:, 1]
+        aa = _inner(a, a).real
+        coef = _inner(a, b) / aa if aa > 0.0 else 0.0  # r12 / r11
+        residual = a * coef
+        np.subtract(b, residual, out=residual)
+        r11 = math.sqrt(aa)
+        r22 = math.sqrt(np.vdot(residual, residual).real)
+        r_t = np.array([[r11, 0.0], [coef * r11, r22]], dtype=np.complex128)
+        u, s, _ = np.linalg.svd(r_t)
         ranks.append(int(np.count_nonzero(s > RANK_SV_TOL)))
         # fix the phase: |0> coefficient (|1> if that is 0) real non-negative
         pivot = u[0, 0] if abs(u[0, 0]) > EXACT_TOL else u[1, 0]
@@ -286,9 +308,10 @@ def _qubit_split(state: StateVector) -> tuple[tuple[int, ...], list[StateVector]
         discarded += float(np.sum(s[1:] ** 2))
     if any(r != 1 for r in ranks):
         return tuple(ranks), None
-    product = reduce(np.kron, tops)
-    rebuilt = product * np.vdot(product, state.amplitudes)
-    deviation = float(np.max(np.abs(rebuilt - state.amplitudes)))
+    rebuilt = reduce(np.kron, tops, np.ones(1))  # a fresh array, even for n = 1
+    rebuilt *= np.vdot(rebuilt, state.amplitudes)
+    rebuilt -= state.amplitudes
+    deviation = float(np.max(np.abs(rebuilt)))
     bound = NORM_TOL + 2.0 * math.sqrt(discarded)
     if deviation > bound:
         raise RuntimeError(

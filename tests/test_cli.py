@@ -262,6 +262,36 @@ def test_report_rejects_malformed_state(capsys, monkeypatch):
     assert code == 2
 
 
+def two_qubit_state(layout=None, amplitudes=None):
+    return json.dumps(
+        {
+            "layout": layout or [["value", 1, 2]],
+            "universe_size": 2,
+            "amplitudes": amplitudes or [[0.5, 0]] * 4,
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "command, row",
+    [("report", ["value", 1.9, 2.7]), ("sample", ["value", True, 2])],
+)
+def test_state_commands_reject_non_integer_layout(capsys, monkeypatch, command, row):
+    code, out, err = run_cli(capsys, monkeypatch, [command], two_qubit_state([row]))
+    assert code == 2
+    assert out == ""
+    assert "layout start must be an integer" in err
+
+
+@pytest.mark.parametrize("pair", [["1", 0], [0, False]])
+def test_report_rejects_non_number_amplitudes(capsys, monkeypatch, pair):
+    state = two_qubit_state(amplitudes=[pair] + [[0.5, 0]] * 3)
+    code, out, err = run_cli(capsys, monkeypatch, ["report"], state)
+    assert code == 2
+    assert out == ""
+    assert "pairs of JSON numbers" in err
+
+
 # --- sample --------------------------------------------------------------------
 
 

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qfuzzy import serialize
@@ -30,6 +30,27 @@ def test_dumps_is_valid_json():
 def test_dumps_rejects_unknown_types():
     with pytest.raises(TypeError, match="cannot serialize"):
         serialize.dumps({"x": object()})
+
+
+EDGE_REALS = [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.0, -3.0, 2.0**53]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_REALS),
+            st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_REALS),
+        ),
+        min_size=1,
+    )
+)
+@example([(x, y) for x in EDGE_REALS for y in EDGE_REALS])
+def test_amplitude_writer_matches_format_real(pairs):
+    amps = np.array([complex(re, im) for re, im in pairs])
+    expected = ", ".join(
+        f"[{serialize.format_real(re)}, {serialize.format_real(im)}]" for re, im in pairs
+    )
+    assert serialize.dumps(amps) == f"[{expected}]"
 
 
 def test_fuzzy_set_round_trip():
@@ -100,6 +121,26 @@ def test_qfs_from_dict_checks_cap_before_amplitudes():
         "amplitudes": "never parsed",
     }
     with pytest.raises(ResourceLimitError, match="30 qubits exceeds the cap of 24"):
+        serialize.qfs_from_dict(d, DEFAULT_QUBIT_CAP)
+
+
+def test_qfs_from_dict_counts_amplitudes_before_reading_them():
+    d = {
+        "layout": [["value", 1, 2]],
+        "universe_size": 2,
+        "amplitudes": [["not", "a number"]] * 3,
+    }
+    with pytest.raises(ValueError, match="expected 4 amplitudes for 2 qubits, got 3"):
+        serialize.qfs_from_dict(d, DEFAULT_QUBIT_CAP)
+
+
+def test_qfs_from_dict_rejects_non_integer_universe_size():
+    d = {
+        "layout": [["value", 1, 2]],
+        "universe_size": 2.0,
+        "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]],
+    }
+    with pytest.raises(ValueError, match="universe_size must be an integer"):
         serialize.qfs_from_dict(d, DEFAULT_QUBIT_CAP)
 
 

@@ -4,7 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from helpers import random_product_state, random_state, random_unitary
+from helpers import random_product_state, random_qubit, random_state, random_unitary
 
 from qfuzzy.analysis import entanglement_report
 from qfuzzy.errors import ResourceLimitError
@@ -255,6 +255,19 @@ def test_measure_all_uniform_four_outcomes():
         assert abs(c / shots - 0.25) < 0.01
 
 
+def test_measure_draws_as_generator_choice():
+    # the outcome sequence for a seed is the one Generator.choice draws from
+    # the Born marginal of the targets, here qubits 3 and 1 in that order
+    state = random_state(np.random.default_rng(61), 3)
+    probs = np.abs(state.amplitudes.reshape(2, 2, 2)) ** 2
+    marginal = probs.sum(axis=1).T.reshape(-1)
+    marginal = marginal / marginal.sum()
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    drawn = [measure_qubits(state, [3, 1], rng)[0] for _ in range(1000)]
+    expected = [format(int(ref.choice(4, p=marginal)), "02b") for _ in range(1000)]
+    assert drawn == expected
+
+
 def test_measure_collapse_consistency():
     rng = np.random.default_rng(2)
     state = encode(FuzzySet([0.5, 0.5])).state
@@ -362,12 +375,13 @@ def test_schmidt_rank_invalid_bipartition():
         schmidt_rank(BELL, {1, 2})
 
 
-def weakly_entangled_state(rng, n, eps):
-    """A random product state with qubits 1 and 2 replaced by the pair
+def pair_in_product(rng, n, i, j, eps):
+    """A random product state with qubits i and j replaced by the pair
     (|00> + eps|11>)/norm, whose smaller singular value is about eps."""
     pair = np.array([1, 0, 0, eps]) / math.sqrt(1 + eps * eps)
     rest = random_product_state(rng, n - 2).amplitudes
-    return StateVector(n, np.kron(pair, rest))
+    psi = np.kron(pair, rest).reshape([2] * n)
+    return StateVector(n, np.moveaxis(psi, [0, 1], [i - 1, j - 1]).reshape(-1))
 
 
 def test_factor_and_schmidt_agree():
@@ -377,7 +391,14 @@ def test_factor_and_schmidt_agree():
         n = int(rng.integers(2, 5))
         states += [random_product_state(rng, n), random_state(rng, n)]
     for eps in (1e-6, 3e-8, 1e-8, 5e-9, 1e-12):
-        states.append(weakly_entangled_state(rng, 4, eps))
+        states.append(pair_in_product(rng, 4, 1, 2, eps))
+    for n in range(5, 11):
+        states += [
+            random_state(rng, n),
+            pair_in_product(rng, n, 1, n, 1.0),
+            pair_in_product(rng, n, 2, n - 1, 0.5),
+            pair_in_product(rng, n, 1, n, 5e-9),
+        ]
     for state in states:
         n = state.n_qubits
         ranks = [schmidt_rank(state, {q}) for q in range(1, n + 1)] if n > 1 else [1]
@@ -386,6 +407,25 @@ def test_factor_and_schmidt_agree():
         report = entanglement_report(state)
         assert list(report.per_qubit_schmidt_ranks) == ranks
         assert report.is_product == (report.factors is not None)
+
+
+@pytest.mark.parametrize("tiny", [0.0, 1e-160])
+@pytest.mark.parametrize("qubit", [1, 3, 5])
+@pytest.mark.parametrize("half", [0, 1])
+def test_factor_with_a_zero_or_subnormal_half(tiny, qubit, half):
+    # qubit `qubit` is tiny|half> + |1-half>: one half of the register has
+    # norm `tiny`, and 1e-160 squared is subnormal
+    rng = np.random.default_rng(67)
+    factors = [random_qubit(rng) for _ in range(5)]
+    factors[qubit - 1] = np.array([tiny, 1.0])[:: 1 - 2 * half]
+    state = StateVector(5, reduce(np.kron, factors))
+    assert [schmidt_rank(state, {q}) for q in range(1, 6)] == [1] * 5
+    assert entanglement_report(state).per_qubit_schmidt_ranks == (1,) * 5
+    got = factor_product_state(state)
+    assert got is not None
+    assert np.allclose(got[qubit - 1].amplitudes, factors[qubit - 1], rtol=0, atol=1e-15)
+    rebuilt = reduce(np.kron, [f.amplitudes for f in got])
+    assert abs(np.vdot(rebuilt, state.amplitudes)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bloch_poles():
