@@ -58,9 +58,7 @@ def _pipeline_from_dict(d: object) -> PipelineSpec:
         raise ValueError("sets must be an object mapping names to membership arrays")
     sets = {}
     for name, memberships in raw_sets.items():
-        if not isinstance(memberships, (list, tuple)):
-            raise ValueError(f"set {name!r} must be a membership array")
-        f = FuzzySet(np.array(memberships, dtype=np.float64))
+        f = FuzzySet(serialize.json_numbers(memberships, f"set {name!r}"))
         if f.universe_size != n:
             raise ValueError(
                 f"set {name!r} has {f.universe_size} memberships, expected {n}"
@@ -235,10 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXPRESSION
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     _write_output(args.output, text)

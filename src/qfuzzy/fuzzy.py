@@ -13,7 +13,8 @@ from functools import reduce
 
 import numpy as np
 
-#: Universes above this size are refused by exhaustive enumeration.
+#: Universes above this size are refused by exhaustive enumeration and by
+#: :func:`com_pushforward`.
 MAX_ENUM_UNIVERSE = 20
 
 
@@ -109,6 +110,13 @@ def _bits_of(bits: CrispSubset | str) -> str:
     return bits.bits if isinstance(bits, CrispSubset) else CrispSubset(bits).bits
 
 
+def com_from_sums(count, index_sum):
+    """Center-of-mass index of subsets with ``count`` members whose indices
+    add up to ``index_sum``: ``index_sum // count``, and the sentinel 0 for
+    the empty set.  Works elementwise on integer arrays."""
+    return np.where(count > 0, index_sum // np.maximum(count, 1), 0)
+
+
 def com_index(bits: CrispSubset | str) -> int:
     """Center of mass of the set bits: floor(sum of set indices / their count).
 
@@ -145,12 +153,28 @@ def oracle_distribution(f: FuzzySet) -> dict[str, float]:
 def com_pushforward(f: FuzzySet) -> dict[int, float]:
     """Exact distribution of the center-of-mass index under the collapse law.
 
-    Pushes :func:`oracle_distribution` forward through :func:`com_index`;
-    only indices of positive probability appear.
+    A dynamic program over (member count, index sum) instead of the 2^N
+    subsets of :func:`oracle_distribution`.  ``P[c, s]`` is the probability
+    that the collapsed subset of elements 1..i has c members whose indices
+    sum to s; element i updates it as
+    ``P <- P (1 - m_i) + shift(P, by (1, i)) m_i``.  The masses are then
+    summed by :func:`com_from_sums` of each (c, s).  ``P`` holds
+    (N + 1) x (N(N+1)/2 + 1) reals, O(N^3) memory.  Only indices of
+    positive probability appear, in ascending order.
     """
-    out: dict[int, float] = {}
-    for bits, p in oracle_distribution(f).items():
-        if p > 0.0:
-            idx = com_index(bits)
-            out[idx] = out.get(idx, 0.0) + p
-    return dict(sorted(out.items()))
+    n = f.universe_size
+    if n > MAX_ENUM_UNIVERSE:
+        raise ValueError(
+            f"universe of size {n} is too large to enumerate "
+            f"(limit {MAX_ENUM_UNIVERSE})"
+        )
+    top = n * (n + 1) // 2
+    p = np.zeros((n + 1, top + 1))
+    p[0, 0] = 1.0
+    for i, m in enumerate(f.memberships, start=1):
+        joined = p[:-1, : top + 1 - i] * m
+        p *= 1.0 - m
+        p[1:, i:] += joined
+    count, index_sum = np.indices(p.shape)
+    mass = np.bincount(com_from_sums(count, index_sum).ravel(), weights=p.ravel())
+    return {int(k): float(mass[k]) for k in np.flatnonzero(mass > 0.0)}

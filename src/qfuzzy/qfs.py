@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .fuzzy import FuzzySet, CrispSubset, com_index, common_universe
+from .fuzzy import FuzzySet, CrispSubset, com_from_sums, common_universe
 from .statevec import (
     DEFAULT_QUBIT_CAP,
     NORM_TOL,
@@ -122,9 +122,14 @@ def rotation_gate(p: float) -> np.ndarray:
 
 def _product_amplitudes(memberships: np.ndarray) -> np.ndarray:
     """Amplitudes of the product state with qubit i in
-    sqrt(1-m_i)|0> + sqrt(m_i)|1>: the kron of the per-qubit columns."""
+    sqrt(1-m_i)|0> + sqrt(m_i)|1>: the kron of the per-qubit columns, built
+    as a chain of outer products (the same products as ``np.kron``, without
+    its per-call overhead)."""
     m = np.asarray(memberships, dtype=np.float64)
-    return reduce(np.kron, np.stack([np.sqrt(1.0 - m), np.sqrt(m)], axis=1))
+    out = np.ones(1)
+    for column in np.stack([np.sqrt(1.0 - m), np.sqrt(m)], axis=1):
+        out = (out[:, None] * column).ravel()
+    return out
 
 
 def _segment_bits(index, n_total: int, start: int, length: int):
@@ -326,10 +331,17 @@ def fuz_isometry(
 
 @lru_cache(maxsize=None)
 def _com_table(n: int) -> np.ndarray:
-    """:func:`com_index` of every n-bit pattern, indexed by the pattern."""
-    table = np.array(
-        [com_index(format(u, f"0{n}b")) for u in range(1 << n)], dtype=np.int64
-    )
+    """:func:`com_index` of every n-bit pattern, indexed by the pattern:
+    :func:`com_from_sums` of its popcount and the sum of its set indices
+    (element 1 is the most significant bit)."""
+    patterns = np.arange(1 << n, dtype=np.int64)
+    count = np.zeros_like(patterns)
+    index_sum = np.zeros_like(patterns)
+    for i in range(1, n + 1):
+        bit = (patterns >> (n - i)) & 1
+        count += bit
+        index_sum += i * bit
+    table = com_from_sums(count, index_sum)
     table.flags.writeable = False
     return table
 

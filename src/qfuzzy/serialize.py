@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
 from .analysis import EntanglementReport
 from .fuzzy import CrispSubset, FuzzySet
-from .qfs import QuantumFuzzySet, RegisterLayout
+from .qfs import VALUE_SEGMENT, QuantumFuzzySet, RegisterLayout
 from .statevec import StateVector, check_register_cap
 
 
@@ -87,6 +87,27 @@ def json_int(value: Any, what: str, minimum: int) -> int:
     return value
 
 
+def _all_json_numbers(values: Iterable) -> bool:
+    """Whether every value is a JSON number, checked in bulk by type: a bool
+    or a numeric string is not one, though numpy would read it as a number."""
+    return set(map(type, values)) <= {int, float}
+
+
+def _floats(values: Iterable, count: int, what: str) -> np.ndarray:
+    try:
+        return np.fromiter(values, np.float64, count)
+    except OverflowError:
+        raise ValueError(f"{what} must be finite") from None
+
+
+def json_numbers(values: Any, what: str) -> np.ndarray:
+    """A JSON array of numbers (ints or floats, not bools or strings) as a
+    float64 array."""
+    if not (isinstance(values, (list, tuple)) and _all_json_numbers(values)):
+        raise ValueError(f"{what} must be an array of JSON numbers")
+    return _floats(values, len(values), what)
+
+
 def _require(d: Mapping, key: str, what: str) -> Any:
     if key not in d:
         raise ValueError(f"{what} is missing the {key!r} field")
@@ -103,11 +124,8 @@ def fuzzy_set_to_dict(f: FuzzySet) -> dict:
 def fuzzy_set_from_dict(d: Mapping) -> FuzzySet:
     if not isinstance(d, Mapping):
         raise ValueError(f"fuzzy set must be a JSON object, got {type(d).__name__}")
-    n = _require(d, "universe_size", "fuzzy set")
-    memberships = _require(d, "memberships", "fuzzy set")
-    if not isinstance(memberships, (list, tuple)):
-        raise ValueError("memberships must be an array")
-    f = FuzzySet(np.array(memberships, dtype=np.float64))
+    n = json_int(_require(d, "universe_size", "fuzzy set"), "universe_size", 1)
+    f = FuzzySet(json_numbers(_require(d, "memberships", "fuzzy set"), "memberships"))
     if f.universe_size != n:
         raise ValueError(
             f"universe_size {n} does not match {f.universe_size} memberships"
@@ -122,7 +140,7 @@ def crisp_subset_to_dict(s: CrispSubset) -> dict:
 def crisp_subset_from_dict(d: Mapping) -> CrispSubset:
     if not isinstance(d, Mapping):
         raise ValueError(f"crisp subset must be a JSON object, got {type(d).__name__}")
-    n = _require(d, "universe_size", "crisp subset")
+    n = json_int(_require(d, "universe_size", "crisp subset"), "universe_size", 1)
     bits = _require(d, "bits", "crisp subset")
     if not isinstance(bits, str):
         raise ValueError("bits must be a string")
@@ -161,6 +179,8 @@ def qfs_from_dict(d: Mapping, cap: int) -> QuantumFuzzySet:
         start = json_int(start, "layout start", 1)
         segments.append((str(name), start, json_int(length, "layout length", 1)))
     layout = RegisterLayout(tuple(segments))
+    if VALUE_SEGMENT not in (name for name, _, _ in segments):
+        raise ValueError(f"layout has no {VALUE_SEGMENT!r} segment")
     total = layout.total_qubits
     check_register_cap(total, cap)
     if not isinstance(raw, (list, tuple)):
@@ -169,19 +189,15 @@ def qfs_from_dict(d: Mapping, cap: int) -> QuantumFuzzySet:
         raise ValueError(
             f"expected {1 << total} amplitudes for {total} qubits, got {len(raw)}"
         )
-    # checked in bulk: every pair a 2-element array, every part a JSON
-    # number (a bool is not one, though numpy would read it as 0 or 1)
+    # checked in bulk: every pair a 2-element array of JSON numbers
     if not (
         set(map(type, raw)) <= {list, tuple}
         and set(map(len, raw)) == {2}
-        and set(map(type, chain.from_iterable(raw))) <= {int, float}
+        and _all_json_numbers(chain.from_iterable(raw))
     ):
         raise ValueError("amplitudes must be [re, im] pairs of JSON numbers")
-    parts = chain.from_iterable(raw)
-    try:
-        amps = np.fromiter(parts, np.float64, 2 * len(raw)).view(np.complex128)
-    except OverflowError:
-        raise ValueError("amplitudes must be finite") from None
+    parts = _floats(chain.from_iterable(raw), 2 * len(raw), "amplitudes")
+    amps = parts.view(np.complex128)
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"state is not normalized (norm {norm:.9f})")

@@ -61,6 +61,22 @@ def test_encode_rejects_bad_membership(capsys, monkeypatch):
     assert "[0, 1]" in err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"universe_size": 2, "memberships": ["0.25", False]}, "JSON numbers"),
+        ({"universe_size": 2, "memberships": [{}, 0.5]}, "JSON numbers"),
+        ({"universe_size": 2.0, "memberships": [0.25, 0.5]}, "universe_size"),
+        ({"universe_size": True, "memberships": [0.25]}, "universe_size"),
+    ],
+)
+def test_encode_rejects_non_number_fields(capsys, monkeypatch, doc, message):
+    code, out, err = run_cli(capsys, monkeypatch, ["encode"], json.dumps(doc))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_encode_rejects_malformed_json(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch, ["encode"], "{not json")
     assert code == 2
@@ -106,6 +122,14 @@ def test_eval_classical_defuz(capsys, monkeypatch):
     assert code == 0
     dist = json.loads(out)["distribution"]
     assert dist == pytest.approx({"0": 0.25, "1": 0.5, "2": 0.25})
+
+
+def test_eval_classical_defuz_refuses_large_universe(capsys, monkeypatch):
+    spec = eval_spec(universe_size=21, sets={"A": [0.5] * 21}, expression="DEFUZ(A)")
+    code, out, err = run_cli(capsys, monkeypatch, ["eval"], spec)
+    assert code == 2
+    assert out == ""
+    assert "too large to enumerate (limit 20)" in err
 
 
 def test_eval_quantum_defuz_counts(capsys, monkeypatch):
@@ -167,6 +191,25 @@ def test_eval_rejects_non_integer_spec_fields(capsys, monkeypatch, field, value)
     code, _, err = run_cli(capsys, monkeypatch, ["eval"], spec)
     assert code == 2
     assert field in err
+
+
+def test_eval_rejects_non_number_memberships(capsys, monkeypatch):
+    spec = eval_spec(universe_size=2, sets={"A": ["0.5", True], "B": [0.5, 0.5]})
+    code, out, err = run_cli(capsys, monkeypatch, ["eval"], spec)
+    assert code == 2
+    assert out == ""
+    assert "set 'A' must be an array of JSON numbers" in err
+
+
+def test_internal_type_error_is_not_an_input_error(capsys, monkeypatch):
+    import qfuzzy.cli
+
+    def broken(args):
+        raise TypeError("an internal bug")
+
+    monkeypatch.setattr(qfuzzy.cli, "_cmd_eval", broken)
+    with pytest.raises(TypeError, match="an internal bug"):
+        run_cli(capsys, monkeypatch, ["eval"], eval_spec())
 
 
 def test_eval_flag_overrides_mode(capsys, monkeypatch):

@@ -267,3 +267,75 @@ def test_com_pushforward_half_pair():
 
 def test_com_pushforward_crisp():
     assert com_pushforward(FuzzySet([1, 0, 0, 0])) == {1: 1.0}
+
+
+def enumerated_pushforward(f):
+    """The reference: every crisp subset of positive probability, pushed
+    through com_index one bitstring at a time."""
+    out = {}
+    for bits, p in oracle_distribution(f).items():
+        if p > 0.0:
+            idx = com_index(bits)
+            out[idx] = out.get(idx, 0.0) + p
+    return dict(sorted(out.items()))
+
+
+def assert_matches_enumeration(values):
+    f = FuzzySet(values)
+    expected = enumerated_pushforward(f)
+    got = com_pushforward(f)
+    assert list(got) == list(expected)
+    assert all(isinstance(k, int) and type(v) is float for k, v in got.items())
+    assert max(abs(got[k] - expected[k]) for k in expected) <= 1e-12
+
+
+grid_memberships = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, 1.0, 1e-300]),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_memberships)
+def test_com_pushforward_matches_enumeration(values):
+    assert_matches_enumeration(values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.3],
+        [0.0],
+        [1.0],
+        [0.0] * 7,
+        [1.0] * 7,
+        [1.0, 0.0, 0.4, 1.0, 0.0, 0.7],
+        [0.0, 1.0, 1.0, 0.0, 1e-300, 1.0],
+        [1e-300, 1e-30, 1e-300, 0.5, 1e-30],
+    ],
+)
+def test_com_pushforward_pinned_cases(values):
+    assert_matches_enumeration(values)
+
+
+def test_com_pushforward_exact_endpoints():
+    assert com_pushforward(FuzzySet([0.0] * 5)) == {0: 1.0}
+    assert com_pushforward(FuzzySet([1.0] * 5)) == {3: 1.0}
+    assert com_pushforward(FuzzySet([0, 1, 1, 0, 1])) == {3: 1.0}
+
+
+def test_com_pushforward_does_not_enumerate(monkeypatch):
+    import qfuzzy.fuzzy
+
+    def refuse(f):
+        raise AssertionError("com_pushforward enumerated the subsets")
+
+    monkeypatch.setattr(qfuzzy.fuzzy, "oracle_distribution", refuse)
+    monkeypatch.setattr(qfuzzy.fuzzy, "com_index", refuse)
+    f = FuzzySet(np.linspace(0.05, 0.95, 20))
+    dist = com_pushforward(f)
+    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)

@@ -11,6 +11,7 @@ from qfuzzy.fuzzy import CrispSubset, FuzzySet, com_index, com_pushforward
 from qfuzzy.qfs import (
     QuantumFuzzySet,
     RegisterLayout,
+    _com_table,
     defuzzify,
     encode,
     expansion_coeff,
@@ -586,6 +587,23 @@ def test_encode_equals_rotation_circuit():
         m[rng.integers(0, n)] = rng.integers(0, 2)  # a crisp element too
         f = FuzzySet(m)
         assert np.array_equal(encode(f).state.amplitudes, gate_encode(f).amplitudes)
+
+
+def test_encode_equals_kron_chain():
+    rng = np.random.default_rng(233)
+    for n in range(1, 21):
+        m = rng.random(n)
+        m[rng.random(n) < 0.25] = 0.0
+        m[rng.random(n) < 0.25] = 1.0
+        columns = [np.array([math.sqrt(1.0 - p), math.sqrt(p)]) for p in m]
+        expected = reduce(np.kron, columns)
+        assert np.array_equal(encode(FuzzySet(m)).state.amplitudes, expected)
+
+
+def test_com_table_equals_com_index():
+    for n in range(1, 13):
+        expected = [com_index(format(u, f"0{n}b")) for u in range(1 << n)]
+        assert np.array_equal(_com_table(n), expected)
 
 
 def test_connectives_equal_gate_circuits():
