@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,53 +25,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_EXPRESSION = 4
-
-
-@dataclass(frozen=True)
-class PipelineSpec:
-    """One batch evaluation: named sets, an expression, and run parameters."""
-
-    universe_size: int
-    sets: dict[str, FuzzySet]
-    expression: str
-    mode: str = "classical"
-    seed: int = 0
-    trials: int = 10000
-    qubit_cap: int = DEFAULT_QUBIT_CAP
-
-
-def _spec_int(d: dict, key: str, default: int | None, minimum: int) -> int:
-    """A spec field: a JSON integer (not a bool or a float) >= ``minimum``."""
-    return serialize.json_int(d.get(key, default), key, minimum)
-
-
-def _pipeline_from_dict(d: object) -> PipelineSpec:
-    if not isinstance(d, dict):
-        raise ValueError(f"pipeline spec must be a JSON object, got {type(d).__name__}")
-    for key in ("universe_size", "sets", "expression"):
-        if key not in d:
-            raise ValueError(f"pipeline spec is missing the {key!r} field")
-    n = _spec_int(d, "universe_size", None, 1)
-    raw_sets = d["sets"]
-    if not isinstance(raw_sets, dict):
-        raise ValueError("sets must be an object mapping names to membership arrays")
-    sets = {}
-    for name, memberships in raw_sets.items():
-        f = FuzzySet(serialize.json_numbers(memberships, f"set {name!r}"))
-        if f.universe_size != n:
-            raise ValueError(
-                f"set {name!r} has {f.universe_size} memberships, expected {n}"
-            )
-        sets[name] = f
-    return PipelineSpec(
-        universe_size=n,
-        sets=sets,
-        expression=str(d["expression"]),
-        mode=str(d.get("mode", "classical")),
-        seed=_spec_int(d, "seed", 0, 0),
-        trials=_spec_int(d, "trials", 10000, 1),
-        qubit_cap=_spec_int(d, "qubit_cap", DEFAULT_QUBIT_CAP, 0),
-    )
 
 
 def _read_input(path: str | None) -> str:
@@ -97,6 +49,37 @@ def _load_json(text: str) -> object:
         raise ValueError(f"malformed JSON: {exc}") from None
 
 
+def _read_spec(d: object, args: argparse.Namespace) -> tuple[str, Environment]:
+    """The expression of the pipeline spec ``d`` and the :class:`Environment`
+    to evaluate it in.  Each integer field is checked as a JSON integer
+    before a command-line flag may override it; a run parameter given by
+    neither takes the Environment default."""
+    if not isinstance(d, dict):
+        raise ValueError(f"pipeline spec must be a JSON object, got {type(d).__name__}")
+    for key in ("universe_size", "sets", "expression"):
+        if key not in d:
+            raise ValueError(f"pipeline spec is missing the {key!r} field")
+    n = serialize.json_int(d["universe_size"], "universe_size", 1)
+    if not isinstance(d["sets"], dict):
+        raise ValueError("sets must be an object mapping names to membership arrays")
+    sets = {
+        name: FuzzySet(serialize.json_numbers(memberships, f"set {name!r}"))
+        for name, memberships in d["sets"].items()
+    }
+    if not isinstance(d["expression"], str):
+        raise ValueError(
+            f"expression must be a JSON string, got {json.dumps(d['expression'])}"
+        )
+    run = {"mode": d["mode"]} if "mode" in d else {}
+    for key, minimum in (("seed", 0), ("trials", 1), ("qubit_cap", 0)):
+        if key in d:
+            run[key] = serialize.json_int(d[key], key, minimum)
+    for key in ("mode", "seed", "trials", "qubit_cap"):
+        if getattr(args, key) is not None:
+            run[key] = getattr(args, key)
+    return d["expression"], Environment(universe_size=n, bindings=sets, **run)
+
+
 def _cmd_encode(args: argparse.Namespace) -> str:
     f = serialize.fuzzy_set_from_dict(_load_json(_read_input(args.input)))
     q = encode(f, cap=args.qubit_cap)
@@ -104,20 +87,8 @@ def _cmd_encode(args: argparse.Namespace) -> str:
 
 
 def _cmd_eval(args: argparse.Namespace) -> str:
-    spec = _pipeline_from_dict(_load_json(_read_input(args.input)))
-    mode = args.mode if args.mode is not None else spec.mode
-    seed = args.seed if args.seed is not None else spec.seed
-    trials = args.trials if args.trials is not None else spec.trials
-    cap = args.qubit_cap if args.qubit_cap is not None else spec.qubit_cap
-    env = Environment(
-        universe_size=spec.universe_size,
-        bindings=spec.sets,
-        mode=mode,
-        seed=seed,
-        trials=trials,
-        qubit_cap=cap,
-    )
-    result = evaluate(parse(spec.expression), env)
+    expression, env = _read_spec(_load_json(_read_input(args.input)), args)
+    result = evaluate(parse(expression), env)
     if isinstance(result, FuzzySet):
         payload = {
             "mode": "classical",
@@ -134,7 +105,7 @@ def _cmd_eval(args: argparse.Namespace) -> str:
             "value_marginals": [float(p) for p in value_marginals(result)],
             "entanglement": serialize.report_to_dict(report),
         }
-    elif mode == "classical":
+    elif env.mode == "classical":
         payload = {
             "mode": "classical",
             "distribution": serialize.distribution_to_dict(result),
@@ -142,7 +113,7 @@ def _cmd_eval(args: argparse.Namespace) -> str:
     else:
         payload = {
             "mode": "quantum",
-            "trials": trials,
+            "trials": env.trials,
             "counts": serialize.distribution_to_dict(result),
         }
     return serialize.dumps(payload)
@@ -159,8 +130,6 @@ def _cmd_report(args: argparse.Namespace) -> str:
 
 def _cmd_sample(args: argparse.Namespace) -> str:
     shots = args.shots if args.shots is not None else 10000
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
     q = serialize.qfs_from_dict(_load_json(_read_input(args.input)), args.qubit_cap)
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     counts = sample_distribution(q.state, rng, shots)

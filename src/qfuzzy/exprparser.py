@@ -42,7 +42,7 @@ from .qfs import (
     qor,
     superpose,
 )
-from .statevec import DEFAULT_QUBIT_CAP
+from .statevec import DEFAULT_QUBIT_CAP, check_shots
 
 
 class ParseError(Exception):
@@ -327,8 +327,7 @@ class Environment:
             raise ValueError(f"mode must be 'classical' or 'quantum', got {self.mode!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        check_shots(self.trials, "trials")
         for name, f in self.bindings.items():
             if f.universe_size != self.universe_size:
                 raise ValueError(

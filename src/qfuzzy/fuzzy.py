@@ -165,8 +165,8 @@ def com_pushforward(f: FuzzySet) -> dict[int, float]:
     n = f.universe_size
     if n > MAX_ENUM_UNIVERSE:
         raise ValueError(
-            f"universe of size {n} is too large to enumerate "
-            f"(limit {MAX_ENUM_UNIVERSE})"
+            f"universe of size {n} exceeds the classical DEFUZ limit of "
+            f"{MAX_ENUM_UNIVERSE}"
         )
     top = n * (n + 1) // 2
     p = np.zeros((n + 1, top + 1))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .statevec import (
     NORM_TOL,
     StateVector,
     check_register_cap,
+    check_shots,
 )
 
 VALUE_SEGMENT = "value"
@@ -140,18 +141,18 @@ def _segment_bits(index, n_total: int, start: int, length: int):
     return bits
 
 
-def _xor_gather(
-    state: StateVector, flip: Callable[[np.ndarray], np.ndarray | int]
-) -> StateVector:
-    """Apply the basis permutation |i> -> |i XOR flip(i)> as one gather.
+def _value_axis(q: QuantumFuzzySet, values: np.ndarray) -> np.ndarray:
+    """``values``, one per basis index, as a (before, value, after) array:
+    axis 1 runs over the 2^N bit patterns of the value segment, axes 0 and 2
+    over the qubits before and after it."""
+    start, n = q.layout.segment(VALUE_SEGMENT)
+    return values.reshape(1 << (start - 1), 1 << n, -1)
 
-    ``flip`` maps the array of basis indices to XOR masks.  Every caller
-    flips only qubits that ``flip`` does not read, so the permutation is an
-    involution and its action on amplitudes is ``amps[i XOR flip(i)]``.
-    """
-    idx = np.arange(state.dim, dtype=np.int64)
-    idx ^= flip(idx)
-    return StateVector(state.n_qubits, state.amplitudes[idx])
+
+def _value_distribution(q: QuantumFuzzySet) -> np.ndarray:
+    """Born probabilities of the 2^N value-segment bit patterns, summed over
+    the qubits outside the segment."""
+    return _value_axis(q, np.abs(q.state.amplitudes) ** 2).sum(axis=(0, 2))
 
 
 def encode(f: FuzzySet, cap: int = DEFAULT_QUBIT_CAP) -> QuantumFuzzySet:
@@ -181,12 +182,13 @@ def expansion_coeff(f: FuzzySet, s: CrispSubset) -> float:
 def qnot(q: QuantumFuzzySet) -> QuantumFuzzySet:
     """The gate-level fuzzy complement: Pauli-X on every value qubit.
 
-    X on a set of qubits is the basis permutation |i> -> |i XOR mask> with
-    the constant mask of the value segment, applied as one gather.
+    X on all N value qubits maps value bit pattern p to 2^N - 1 - p, so on
+    the register read as a (before, value, after) array it reverses the
+    value axis.  The reversed view is copied into a fresh array: a
+    negative-stride view would alias the input.
     """
-    v_start, v_len = q.layout.segment(VALUE_SEGMENT)
-    mask = ((1 << v_len) - 1) << (q.state.n_qubits - (v_start + v_len - 1))
-    return QuantumFuzzySet(_xor_gather(q.state, lambda idx: mask), q.layout)
+    amps = _value_axis(q, q.state.amplitudes)[:, ::-1].copy().reshape(-1)
+    return QuantumFuzzySet(StateVector(q.state.n_qubits, amps), q.layout)
 
 
 def qand(
@@ -351,8 +353,9 @@ def u_com(state: StateVector) -> StateVector:
 
     On a 2n-qubit register, maps |u>|v> to |u>|v XOR c(u)> where c(u) is the
     one-hot bitstring of the center-of-mass index of u (all zeros for the
-    massless input).  A basis permutation and an involution, applied as one
-    gather.
+    massless input).  A basis permutation and an involution (the XOR mask
+    reads only u, which it leaves alone), so its action on amplitudes is one
+    gather ``amps[i XOR mask(i)]``; u is the top n bits of index i.
     """
     if state.n_qubits % 2:
         raise ValueError(
@@ -361,7 +364,9 @@ def u_com(state: StateVector) -> StateVector:
     n = state.n_qubits // 2
     com = _com_table(n)
     one_hot = np.where(com > 0, 1 << (n - com), 0)
-    return _xor_gather(state, lambda idx: one_hot[_segment_bits(idx, 2 * n, 1, n)])
+    idx = np.arange(state.dim, dtype=np.int64)
+    idx ^= one_hot[idx >> n]
+    return StateVector(state.n_qubits, state.amplitudes[idx])
 
 
 def defuzzify(
@@ -377,22 +382,17 @@ def defuzzify(
     permutation (:func:`u_com` when the register is just the value segment),
     measures the ancillas, and decodes the one-hot outcome (all zeros
     decodes to the sentinel 0).  The ancillas then read c with the total
-    probability of the basis states whose value bits have center of mass c,
-    so that marginal is summed directly from the unpadded register.  The cap
-    still counts the N ancillas.  The trials are independent, so they are
-    drawn in one pass from that marginal.
+    probability of the value bit patterns whose center of mass is c, so that
+    marginal is summed from the unpadded register read as a (before, value,
+    after) array: the distribution along the value axis, binned by
+    :func:`_com_table`.  The cap still counts the N ancillas.  The trials
+    are independent, so they are drawn in one pass from that marginal.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_shots(trials, "trials")
     n = q.universe_size
-    n_in = q.state.n_qubits
-    check_register_cap(n_in + n, cap)
-    v_start, _ = q.layout.segment(VALUE_SEGMENT)
-    value_bits = _segment_bits(np.arange(q.state.dim, dtype=np.int64), n_in, v_start, n)
+    check_register_cap(q.state.n_qubits + n, cap)
     index_probs = np.bincount(
-        _com_table(n)[value_bits],
-        weights=np.abs(q.state.amplitudes) ** 2,
-        minlength=n + 1,
+        _com_table(n), weights=_value_distribution(q), minlength=n + 1
     )
     index_probs /= index_probs.sum()
     counts = rng.multinomial(trials, index_probs)
@@ -433,7 +433,7 @@ def superpose(
 def value_marginals(q: QuantumFuzzySet) -> np.ndarray:
     """Per-element probabilities of measuring 1 on the value segment, from
     the Born probabilities summed once over the qubits outside it."""
-    start, n = q.layout.segment(VALUE_SEGMENT)
-    probs = np.abs(q.state.amplitudes) ** 2
-    seg = probs.reshape(1 << (start - 1), 1 << n, -1).sum(axis=(0, 2))
-    return np.array([seg.reshape(1 << i, 2, -1)[:, 1, :].sum() for i in range(n)])
+    seg = _value_distribution(q)
+    return np.array(
+        [seg.reshape(1 << i, 2, -1)[:, 1, :].sum() for i in range(q.universe_size)]
+    )

@@ -31,6 +31,9 @@ NORM_TOL = 1e-10
 RANK_SV_TOL = 1e-8
 #: Entrywise tolerance for exact structural comparisons.
 EXACT_TOL = 1e-12
+#: Most trials one sampling call draws: ``Generator.multinomial`` takes its
+#: count as an int64.
+MAX_SHOTS = 2**63 - 1
 
 IDENTITY = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -89,10 +92,6 @@ def bits_to_index(n_qubits: int, bits: str) -> int:
     if set(bits) - {"0", "1"}:
         raise ValueError(f"bitstring may contain only '0' and '1', got {bits!r}")
     return int(bits, 2)
-
-
-def index_to_bits(n_qubits: int, index: int) -> str:
-    return format(index, f"0{n_qubits}b")
 
 
 def basis_state(bits: str, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
@@ -225,14 +224,21 @@ def measure_qubits(
     return bits, StateVector(n, amps)
 
 
+def check_shots(shots: int, what: str = "shots") -> None:
+    """Raise ``ValueError`` unless 1 <= ``shots`` <= :data:`MAX_SHOTS`."""
+    if shots < 1:
+        raise ValueError(f"{what} must be >= 1, got {shots}")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"{what} must be <= {MAX_SHOTS} (2^63 - 1), got {shots}")
+
+
 def sample_distribution(
     state: StateVector,
     rng: np.random.Generator,
     shots: int,
 ) -> dict[str, int]:
     """Counts of full-register measurement outcomes over ``shots`` trials."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    check_shots(shots)
     probs = np.abs(state.amplitudes) ** 2
     probs = probs / probs.sum()
     counts = rng.multinomial(shots, probs)
@@ -247,11 +253,7 @@ def one_probabilities(state: StateVector) -> np.ndarray:
     return np.array([np.take(probs, 1, axis=q).sum() for q in range(n)])
 
 
-def schmidt_rank(
-    state: StateVector,
-    left: Iterable[int],
-    sv_tol: float = RANK_SV_TOL,
-) -> int:
+def schmidt_rank(state: StateVector, left: Iterable[int]) -> int:
     """Numerical Schmidt rank of ``state`` across the ``left`` vs rest split."""
     left = sorted(set(left))
     n = state.n_qubits
@@ -266,7 +268,7 @@ def schmidt_rank(
     perm = [q - 1 for q in left] + [q - 1 for q in right]
     mat = np.transpose(psi, perm).reshape(1 << len(left), -1)
     singular = np.linalg.svd(mat, compute_uv=False)
-    return int(np.count_nonzero(singular > sv_tol))
+    return int(np.count_nonzero(singular > RANK_SV_TOL))
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> complex:

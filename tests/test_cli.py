@@ -129,7 +129,7 @@ def test_eval_classical_defuz_refuses_large_universe(capsys, monkeypatch):
     code, out, err = run_cli(capsys, monkeypatch, ["eval"], spec)
     assert code == 2
     assert out == ""
-    assert "too large to enumerate (limit 20)" in err
+    assert "exceeds the classical DEFUZ limit of 20" in err
 
 
 def test_eval_quantum_defuz_counts(capsys, monkeypatch):
@@ -145,6 +145,28 @@ def test_eval_quantum_defuz_counts(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["counts"] == {"1": 123}
     assert payload["trials"] == 123
+
+
+@pytest.mark.parametrize(
+    "spec_trials, argv",
+    [(2**63, ["eval"]), (123, ["eval", "--trials", "99999999999999999999"])],
+)
+def test_eval_rejects_trials_beyond_int64(capsys, monkeypatch, spec_trials, argv):
+    spec = eval_spec(expression="DEFUZ(A)", mode="quantum", trials=spec_trials)
+    code, out, err = run_cli(capsys, monkeypatch, argv, spec)
+    assert code == 2
+    assert out == ""
+    assert "trials must be <= 9223372036854775807" in err
+
+
+@pytest.mark.parametrize("expression", [None, True])
+def test_eval_rejects_non_string_expression(capsys, monkeypatch, expression):
+    spec = eval_spec(sets={"A": [0.5], "B": [0.5], "None": [0.5], "True": [0.5]})
+    spec = json.dumps({**json.loads(spec), "expression": expression})
+    code, out, err = run_cli(capsys, monkeypatch, ["eval"], spec)
+    assert code == 2
+    assert out == ""
+    assert "expression must be a JSON string" in err
 
 
 def test_eval_unbound_identifier(capsys, monkeypatch):
@@ -363,6 +385,23 @@ def test_sample_rejects_zero_shots(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch, ["sample", "--shots", "0"], state)
     assert code == 2
     assert "shots must be >= 1" in err
+
+
+def test_sample_rejects_shots_beyond_int64(capsys, monkeypatch):
+    state = encoded_state_json(capsys, monkeypatch, [0.5])
+    argv = ["sample", "--shots", "99999999999999999999"]
+    code, out, err = run_cli(capsys, monkeypatch, argv, state)
+    assert code == 2
+    assert out == ""
+    assert "shots must be <= 9223372036854775807" in err
+
+
+def test_sample_accepts_largest_shots(capsys, monkeypatch):
+    state = encoded_state_json(capsys, monkeypatch, [1.0])
+    argv = ["sample", "--shots", str(2**63 - 1)]
+    code, out, _ = run_cli(capsys, monkeypatch, argv, state)
+    assert code == 0
+    assert json.loads(out) == {"shots": 2**63 - 1, "counts": {"1": 2**63 - 1}}
 
 
 def test_sample_deterministic(capsys, monkeypatch):

@@ -573,11 +573,16 @@ def reference_defuzzify(q, rng, trials):
 
 def oracle_operands(rng, n):
     """Encoded, crisp, grown (AND output) and entangled (SUPERPOSE, and an
-    AND over it) registers with a universe of n."""
+    AND over it) registers with a universe of n, and a random state whose
+    value segment has a qubit after it."""
     a, b = encode(random_fuzzy(rng, n)), encode(random_fuzzy(rng, n))
     crisp = encode(FuzzySet(rng.integers(0, 2, n).astype(float)))
     entangled = superpose([(0.6, random_fuzzy(rng, n)), (0.8j, random_fuzzy(rng, n))])
-    return [a, crisp, qand(a, b), entangled, qand(entangled, b)]
+    inner = QuantumFuzzySet(
+        random_state(rng, 2 * n + 1),
+        RegisterLayout((("x", 1, n), ("value", n + 1, n), ("y", 2 * n + 1, 1))),
+    )
+    return [a, crisp, qand(a, b), entangled, qand(entangled, b), inner]
 
 
 def test_encode_equals_rotation_circuit():
@@ -611,7 +616,10 @@ def test_connectives_equal_gate_circuits():
     operands = oracle_operands(rng, 2)
     for q in operands:
         expected = gate_qnot(q.state, q.value_qubits)
-        assert np.array_equal(qnot(q).state.amplitudes, expected.amplitudes)
+        got = qnot(q).state.amplitudes
+        assert np.array_equal(got, expected.amplitudes)
+        assert got.flags.c_contiguous
+        assert not np.shares_memory(got, q.state.amplitudes)
     for a in operands:
         for b in operands:
             got_and, got_or = qand(a, b).state, qor(a, b).state
