@@ -9,7 +9,7 @@ import numpy as np
 
 from .fuzzy import FuzzySet, common_universe, oracle_distribution
 from .qfs import QuantumFuzzySet, encode
-from .statevec import StateVector, _qubit_split, sample_distribution
+from .statevec import StateVector, _qubit_split, check_shots, sample_distribution
 
 #: Phases below this magnitude are reported as exactly 0.
 PHASE_SNAP_TOL = 1e-10
@@ -116,8 +116,7 @@ def sampling_vs_oracle(
             f"universe of size {f.universe_size} is too large to compare "
             f"(limit {MAX_SAMPLING_UNIVERSE})"
         )
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    check_shots(shots)
     counts = sample_distribution(encode(f).state, rng, shots)
     empirical = {bits: c / shots for bits, c in counts.items()}
     return total_variation(empirical, oracle_distribution(f))

@@ -133,14 +133,6 @@ def _product_amplitudes(memberships: np.ndarray) -> np.ndarray:
     return out
 
 
-def _segment_bits(index, n_total: int, start: int, length: int):
-    """Extract the bits of a qubit segment from a basis index (an int or an
-    index array)."""
-    bits = index >> (n_total - (start + length - 1))
-    bits &= (1 << length) - 1
-    return bits
-
-
 def _value_axis(q: QuantumFuzzySet, values: np.ndarray) -> np.ndarray:
     """``values``, one per basis index, as a (before, value, after) array:
     axis 1 runs over the 2^N bit patterns of the value segment, axes 0 and 2
@@ -200,26 +192,25 @@ def qand(
 
     In the paper the register a (x) b (x) |0..0> gets, for each element i, a
     Toffoli controlled by the value qubits of ``a`` and ``b`` targeting a
-    fresh output qubit.  The Toffolis act on disjoint targets, so together
-    they are the basis permutation out ^= a_value & b_value; as the output
-    starts at 0, each amplitude of a (x) b is scattered to its one image.
-    The inputs are kept; the output segment becomes the value segment.  For
-    encoded inputs the output marginal of element i is f(i) * g(i).
+    fresh output qubit; as the output starts at 0, together they write
+    out = pa & pb for value patterns pa, pb.  So the kron of the inputs read
+    as (before, value, after) arrays is scattered in one assignment along
+    the output axis.  The inputs are kept; the output segment becomes the
+    value segment.  For encoded inputs the output marginal of element i is
+    f(i) * g(i).
     """
     n = common_universe(a, b)
     a_total = a.state.n_qubits
     b_total = b.state.n_qubits
     total = a_total + b_total + n
     check_register_cap(total, cap)
-    src = np.kron(a.state.amplitudes, b.state.amplitudes)
-    a_start = a.layout.segment(VALUE_SEGMENT)[0]
-    b_start = a_total + b.layout.segment(VALUE_SEGMENT)[0]
-    idx = np.arange(src.size, dtype=np.int64)
-    out_bits = _segment_bits(idx, a_total + b_total, a_start, n)
-    out_bits &= _segment_bits(idx, a_total + b_total, b_start, n)
-    amps = np.zeros(1 << total, dtype=np.complex128)
-    amps[(idx << n) | out_bits] = src
-    state = StateVector(total, amps)
+    va = _value_axis(a, a.state.amplitudes)
+    vb = _value_axis(b, b.state.amplitudes)
+    kron = np.multiply.outer(va, vb)
+    pa, pb = np.arange(1 << n)[:, None], np.arange(1 << n)
+    amps = np.zeros(kron.shape + (1 << n,), dtype=np.complex128)
+    amps[:, pa, :, :, pb, :, pa & pb] = kron.transpose(1, 4, 0, 2, 3, 5)
+    state = StateVector(total, amps.reshape(-1))
     layout = RegisterLayout(
         a.layout.relabeled("a.")
         + b.layout.relabeled("b.", offset=a_total)
@@ -244,10 +235,11 @@ def qor(
 
 
 def _smear_mask(bits: int, k: int, n: int) -> int:
-    """Positions within distance k of a set bit, as an n-bit mask."""
+    """Positions within distance k of a set bit, as an n-bit mask; a radius
+    of n - 1 reaches them all."""
     full = (1 << n) - 1
     out = 0
-    for s in range(k + 1):
+    for s in range(min(k, n - 1) + 1):
         out |= (bits << s) & full
         out |= bits >> s
     return out
@@ -304,31 +296,28 @@ def fuz_isometry(
     images of distinct basis states stay orthogonal, so the map is an
     isometry on the zero-padded subspace (its extension off that subspace is
     deliberately left unspecified).  The appended segment becomes the value
-    segment.
+    segment.  A nonzero amplitude's value bit pattern is its index on the
+    value axis of the input read as a (before, value, after) array.
     """
     if k < 0:
         raise ValueError(f"window radius must be >= 0, got {k}")
-    n_out = q.universe_size
-    n_in = q.state.n_qubits
-    total = n_in + n_out
+    n = q.universe_size
+    total = q.state.n_qubits + n
     check_register_cap(total, cap)
-    v_start, v_len = q.layout.segment(VALUE_SEGMENT)
-    out = np.zeros(1 << total, dtype=np.complex128)
+    va = _value_axis(q, q.state.amplitudes)
+    out = np.zeros(va.shape + (1 << n,), dtype=np.complex128)
     images: dict[int, np.ndarray] = {}
-    block = 1 << n_out
-    for idx in np.nonzero(q.state.amplitudes)[0]:
-        vbits = _segment_bits(int(idx), n_in, v_start, v_len)
-        mask = _smear_mask(vbits, k, n_out)
+    for i, p, j in zip(*np.nonzero(va)):
+        mask = _smear_mask(int(p), k, n)
         img = images.get(mask)
         if img is None:
-            img = _half_mix_image(mask, n_out)
+            img = _half_mix_image(mask, n)
             images[mask] = img
-        base = int(idx) * block
-        out[base : base + block] = q.state.amplitudes[idx] * img
+        out[i, p, j] = va[i, p, j] * img
     layout = RegisterLayout(
-        q.layout.relabeled("in.") + ((VALUE_SEGMENT, n_in + 1, n_out),)
+        q.layout.relabeled("in.") + ((VALUE_SEGMENT, q.state.n_qubits + 1, n),)
     )
-    return QuantumFuzzySet(StateVector(total, out), layout)
+    return QuantumFuzzySet(StateVector(total, out.reshape(-1)), layout)
 
 
 @lru_cache(maxsize=None)
@@ -407,18 +396,24 @@ def superpose(
 
     Encoded terms are generally non-orthogonal, so the raw combination's
     norm carries interference information; it is kept on the result as
-    ``pre_norm``.  A combination that cancels completely raises.
+    ``pre_norm``.  A non-finite coefficient, an overflowing norm and a
+    combination that cancels completely raise.
     """
     terms = list(terms)
     if not terms:
         raise ValueError("superpose needs at least one term")
     n = terms[0][1].universe_size
-    for _, f in terms:
-        common_universe(f, terms[0][1])
-    vec = np.zeros(1 << n, dtype=np.complex128)
     for c, f in terms:
-        vec += complex(c) * encode(f, cap).state.amplitudes
-    pre_norm = float(np.linalg.norm(vec))
+        common_universe(f, terms[0][1])
+        if not np.isfinite(c):
+            raise ValueError(f"superposition coefficient must be finite, got {c}")
+    vec = np.zeros(1 << n, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, f in terms:
+            vec += complex(c) * encode(f, cap).state.amplitudes
+        pre_norm = float(np.linalg.norm(vec))
+    if not math.isfinite(pre_norm):
+        raise ValueError("superposition norm overflows: coefficients too large")
     if pre_norm < NORM_TOL:
         raise ValueError(
             f"superposition cancelled completely (norm {pre_norm:.3e})"

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -188,6 +189,43 @@ def test_eval_superpose_classical_rejected(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch, ["eval"], spec)
     assert code == 4
     assert "not available in classical mode" in err
+
+
+def test_eval_quantum_fuz_radius_beyond_universe(capsys, monkeypatch):
+    outputs = []
+    for k in (2, 99999999999999999999):
+        spec = eval_spec(
+            universe_size=3,
+            sets={"A": [0.5, 0.3, 0.2]},
+            expression=f"FUZ(2, {k})",
+            mode="quantum",
+        )
+        code, out, err = run_cli(capsys, monkeypatch, ["eval"], spec)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "expression, message",
+    [
+        ("SUPERPOSE(1e160 * A)", "superposition norm overflows"),
+        ("SUPERPOSE(1e300 * A, 1e300 * A)", "superposition norm overflows"),
+        ("SUPERPOSE(1e400 * A)", "superposition coefficient must be finite, got inf"),
+    ],
+)
+def test_eval_superpose_overflow_refused(capsys, monkeypatch, expression, message):
+    spec = eval_spec(
+        universe_size=2, sets={"A": [0.5, 0.3]}, expression=expression, mode="quantum"
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, monkeypatch, ["eval"], spec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: " + message)
+    assert err.count("\n") == 1
+    assert not caught
 
 
 def test_eval_cap_exceeded(capsys, monkeypatch):

@@ -317,6 +317,16 @@ def test_fuz_isometry_cap():
         fuz_isometry(encode(FuzzySet([0.5] * 3)), 1, cap=5)
 
 
+def test_fuz_radius_beyond_register_equals_full_window():
+    rng = np.random.default_rng(101)
+    for n in range(1, 5):
+        q = QuantumFuzzySet(random_state(rng, n), RegisterLayout.single("value", n))
+        huge, full = fuz_linear(q.state, 10**30), fuz_linear(q.state, n - 1)
+        assert np.array_equal(huge.amplitudes, full.amplitudes)
+        huge, full = fuz_isometry(q, 10**30), fuz_isometry(q, n - 1)
+        assert np.array_equal(huge.state.amplitudes, full.state.amplitudes)
+
+
 # --- defuzzification --------------------------------------------------------------
 
 
@@ -420,6 +430,27 @@ def test_superpose_cancellation():
     f = FuzzySet([0.5])
     with pytest.raises(ValueError, match="cancelled"):
         superpose([(1.0, f), (-1.0, f)])
+
+
+@pytest.mark.parametrize("terms", [[1e160], [1e300, 1e300], [1e308, 1e308]])
+def test_superpose_refuses_overflowing_norm(terms):
+    f = FuzzySet([0.5, 0.3])
+    with pytest.raises(ValueError, match="norm overflows"):
+        superpose([(c, f) for c in terms])
+
+
+@pytest.mark.parametrize("coeff", [math.inf, -math.inf, math.nan, complex(1, math.inf)])
+def test_superpose_refuses_non_finite_coefficient(coeff):
+    f = FuzzySet([0.5, 0.3])
+    with pytest.raises(ValueError, match="coefficient must be finite"):
+        superpose([(1.0, f), (coeff, f)])
+
+
+def test_superpose_large_finite_coefficients_renormalize():
+    f = FuzzySet([0.5, 0.3])
+    q = superpose([(1e150, f)])
+    assert_states_close(q.state, encode(f).state)
+    assert q.pre_norm == pytest.approx(1e150)
 
 
 def test_superpose_requires_terms():
@@ -625,6 +656,35 @@ def test_connectives_equal_gate_circuits():
             got_and, got_or = qand(a, b).state, qor(a, b).state
             assert np.array_equal(got_and.amplitudes, gate_qand(a, b).amplitudes)
             assert np.array_equal(got_or.amplitudes, gate_qor(a, b).amplitudes)
+
+
+def reference_fuz_isometry(q, k):
+    """FUZ one amplitude at a time on flat basis indices: decode each
+    nonzero index's value bits, smear them by the window definition, and
+    write the amplitude times the kron of the window's qubit columns into
+    the block of 2^N output amplitudes at that index."""
+    n, n_in = q.universe_size, q.state.n_qubits
+    start = q.layout.segment("value")[0]
+    block = 1 << n
+    out = np.zeros(block << n_in, dtype=np.complex128)
+    for idx in np.nonzero(q.state.amplitudes)[0]:
+        bits = format(int(idx), f"0{n_in}b")[start - 1 : start - 1 + n]
+        ones = [i for i, bit in enumerate(bits) if bit == "1"]
+        window = [any(abs(i - j) <= k for j in ones) for i in range(n)]
+        columns = [np.array([HALF, HALF]) if w else np.array([1.0, 0.0]) for w in window]
+        img = reduce(np.kron, columns)
+        base = int(idx) * block
+        out[base : base + block] = q.state.amplitudes[idx] * img
+    return out
+
+
+def test_fuz_isometry_equals_per_amplitude_reference():
+    rng = np.random.default_rng(241)
+    for n in (2, 3):
+        for q in oracle_operands(rng, n):
+            for k in range(n + 2):
+                got = fuz_isometry(q, k).state.amplitudes
+                assert np.array_equal(got, reference_fuz_isometry(q, k))
 
 
 def test_u_com_equals_controlled_x_circuit():

@@ -1,0 +1,50 @@
+"""The benchmark's traced replay wraps names the program imports across its
+modules; these tests keep those names in place and the replay faithful."""
+
+import importlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from qfuzzy.cli import main
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their defining module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_boundaries_resolve(tracing):
+    for module_name, attr, _, _ in tracing._boundaries():
+        assert hasattr(importlib.import_module(module_name), attr), (module_name, attr)
+
+
+def test_replay_records_gate_spans_and_cli_bytes(tracing, tmp_path, capsys):
+    spec = {
+        "universe_size": 2,
+        "sets": {"A": [0.5, 0.3]},
+        "expression": "A AND FUZ(1, 0)",
+        "mode": "quantum",
+        "seed": 1,
+        "trials": 10,
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    argv = ["eval", "--input", str(path)]
+    recorder, results = tracing.replay([argv])
+    names = {span.name for span in recorder.spans}
+    assert {"qfs.qand", "qfs.fuz_isometry", "qfs.encode"} <= names
+    capsys.readouterr()
+    code = main(argv)
+    assert results == [(code, capsys.readouterr().out.encode("utf-8"))]
+    assert code == 0
