@@ -25,6 +25,7 @@ from .exprparser import (
     eval_quantum,
     evaluate,
     parse,
+    plan,
     pretty_print,
 )
 from .fuzzy import (

@@ -1,8 +1,8 @@
 """Command-line front end: encode, eval, report, sample.
 
 All input and output is JSON.  Exit codes: 0 success, 2 input validation,
-3 register cap exceeded, 4 expression (parse or evaluation) errors.  Output
-is byte-identical for identical input and seed.
+3 register cap exceeded or out of memory, 4 expression (parse or evaluation)
+errors.  Output is byte-identical for identical input and seed.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ def _load_json(text: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError("malformed JSON: nested too deeply") from None
 
 
 def _read_spec(d: object, args: argparse.Namespace) -> tuple[str, Environment]:
@@ -88,7 +90,10 @@ def _cmd_encode(args: argparse.Namespace) -> str:
 
 def _cmd_eval(args: argparse.Namespace) -> str:
     expression, env = _read_spec(_load_json(_read_input(args.input)), args)
-    result = evaluate(parse(expression), env)
+    try:
+        result = evaluate(parse(expression), env)
+    except RecursionError:
+        raise EvalError("expression nested too deeply") from None
     if isinstance(result, FuzzySet):
         payload = {
             "mode": "classical",
@@ -198,6 +203,10 @@ def main(argv: list[str] | None = None) -> int:
         text = args.handler(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:
+        reason = str(exc) or "allocation failed"
+        print(f"error: out of memory: {reason}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ParseError, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,7 +42,7 @@ from .qfs import (
     qor,
     superpose,
 )
-from .statevec import DEFAULT_QUBIT_CAP, check_shots
+from .statevec import DEFAULT_QUBIT_CAP, check_register_cap, check_shots
 
 
 class ParseError(Exception):
@@ -336,6 +336,51 @@ class Environment:
                 )
 
 
+def plan(ast: ExprAst, env: Environment) -> int:
+    """Qubits the quantum evaluation of ``ast`` ends with, found before any
+    register is built; raises the tree's first :class:`EvalError` in the
+    order the evaluators meet its nodes.
+
+    A connective keeps its inputs and writes to N fresh qubits, so a node
+    has N * w qubits: w is 1 for an identifier or SUPERPOSE (which encodes
+    windows only), 2 for FUZ, w(child) for NOT and w(left) + w(right) + 1
+    for AND and OR; a top-level DEFUZ adds N ancillas.  Each register built
+    on the way is part of the root's, so no gate allocates more than this.
+    """
+    if isinstance(ast, Defuz):
+        return env.universe_size * (_width(ast.child, env) + 1)
+    return env.universe_size * _width(ast, env)
+
+
+def _width(node: ExprAst, env: Environment) -> int:
+    if isinstance(node, Not):
+        return _width(node.child, env)
+    if isinstance(node, (And, Or)):
+        return _width(node.left, env) + _width(node.right, env) + 1
+    if isinstance(node, Defuz):
+        raise EvalError("DEFUZ is only allowed at the top level", node.pos)
+    if isinstance(node, Superpose):
+        if env.mode == "classical":
+            raise EvalError("SUPERPOSE is not available in classical mode", node.pos)
+        for _, term in node.terms:  # superpose adds encoded sets: terms stay leaves
+            if not isinstance(term, (Ident, Fuz)):
+                raise EvalError(
+                    "SUPERPOSE terms must be identifiers or FUZ leaves", term.pos
+                )
+            _width(term, env)
+        return 1
+    if isinstance(node, Fuz):
+        if not 1 <= node.index <= env.universe_size:
+            raise EvalError(
+                f"FUZ index {node.index} out of range 1..{env.universe_size}",
+                node.pos,
+            )
+        return 2
+    if node.name not in env.bindings:
+        raise EvalError(f"unbound identifier '{node.name}'", node.pos)
+    return 1
+
+
 def evaluate(ast: ExprAst, env: Environment):
     """Dispatch on ``env.mode``."""
     if env.mode == "classical":
@@ -346,32 +391,26 @@ def evaluate(ast: ExprAst, env: Environment):
 def eval_classical(ast: ExprAst, env: Environment) -> FuzzySet | dict[int, float]:
     """Membership arithmetic; a top-level DEFUZ returns the exact
     center-of-mass distribution instead of a set."""
+    plan(ast, env)
     if isinstance(ast, Defuz):
         return com_pushforward(_classical_set(ast.child, env))
     return _classical_set(ast, env)
 
 
 def _classical_set(node: ExprAst, env: Environment) -> FuzzySet:
-    if isinstance(node, Ident):
-        return _lookup(node, env)
     if isinstance(node, Not):
         return complement(_classical_set(node.child, env))
-    if isinstance(node, And):
-        return intersect(_classical_set(node.left, env), _classical_set(node.right, env))
-    if isinstance(node, Or):
-        return union(_classical_set(node.left, env), _classical_set(node.right, env))
-    if isinstance(node, Fuz):
-        return _fuzzify_window(node, env)
-    if isinstance(node, Defuz):
-        raise EvalError("DEFUZ is only allowed at the top level", node.pos)
-    if isinstance(node, Superpose):
-        raise EvalError("SUPERPOSE is not available in classical mode", node.pos)
-    raise TypeError(f"not an expression node: {node!r}")
+    if isinstance(node, (And, Or)):
+        op = intersect if isinstance(node, And) else union
+        return op(_classical_set(node.left, env), _classical_set(node.right, env))
+    return _leaf(node, env)
 
 
 def eval_quantum(ast: ExprAst, env: Environment) -> QuantumFuzzySet | dict[int, int]:
     """Register simulation; a top-level DEFUZ returns sampled center-of-mass
-    counts over ``env.trials`` trials seeded by ``env.seed``."""
+    counts over ``env.trials`` trials seeded by ``env.seed``.  The planned
+    register is checked against ``env.qubit_cap`` before any is built."""
+    check_register_cap(plan(ast, env), env.qubit_cap)
     if isinstance(ast, Defuz):
         state = _quantum_state(ast.child, env)
         rng = np.random.default_rng(env.seed)
@@ -380,58 +419,25 @@ def eval_quantum(ast: ExprAst, env: Environment) -> QuantumFuzzySet | dict[int, 
 
 
 def _quantum_state(node: ExprAst, env: Environment) -> QuantumFuzzySet:
-    if isinstance(node, Ident):
-        return encode(_lookup(node, env), cap=env.qubit_cap)
     if isinstance(node, Not):
         return qnot(_quantum_state(node.child, env))
-    if isinstance(node, And):
-        return qand(
-            _quantum_state(node.left, env),
-            _quantum_state(node.right, env),
-            cap=env.qubit_cap,
-        )
-    if isinstance(node, Or):
-        return qor(
-            _quantum_state(node.left, env),
-            _quantum_state(node.right, env),
-            cap=env.qubit_cap,
-        )
+    if isinstance(node, (And, Or)):
+        gate = qand if isinstance(node, And) else qor
+        left, right = _quantum_state(node.left, env), _quantum_state(node.right, env)
+        return gate(left, right, cap=env.qubit_cap)
     if isinstance(node, Fuz):
-        _fuzzify_window(node, env)  # validates index and radius
         one_hot = np.zeros(env.universe_size)
         one_hot[node.index - 1] = 1.0
         seeded = encode(FuzzySet(one_hot), cap=env.qubit_cap)
         return fuz_isometry(seeded, node.k, cap=env.qubit_cap)
-    if isinstance(node, Defuz):
-        raise EvalError("DEFUZ is only allowed at the top level", node.pos)
     if isinstance(node, Superpose):
-        terms = [(c, _superpose_leaf(t, env)) for c, t in node.terms]
+        terms = [(c, _leaf(t, env)) for c, t in node.terms]
         return superpose(terms, cap=env.qubit_cap)
-    raise TypeError(f"not an expression node: {node!r}")
+    return encode(_leaf(node, env), cap=env.qubit_cap)
 
 
-def _superpose_leaf(node: ExprAst, env: Environment) -> FuzzySet:
-    """Superposition combines plain encoded sets, so subterms must stay
-    leaves; connective outputs live on grown registers and are rejected."""
+def _leaf(node: Ident | Fuz, env: Environment) -> FuzzySet:
+    """The set an identifier names, or the window a FUZ leaf spans."""
     if isinstance(node, Ident):
-        return _lookup(node, env)
-    if isinstance(node, Fuz):
-        return _fuzzify_window(node, env)
-    pos = getattr(node, "pos", None)
-    raise EvalError("SUPERPOSE terms must be identifiers or FUZ leaves", pos)
-
-
-def _lookup(node: Ident, env: Environment) -> FuzzySet:
-    try:
         return env.bindings[node.name]
-    except KeyError:
-        raise EvalError(f"unbound identifier '{node.name}'", node.pos) from None
-
-
-def _fuzzify_window(node: Fuz, env: Environment) -> FuzzySet:
-    if not 1 <= node.index <= env.universe_size:
-        raise EvalError(
-            f"FUZ index {node.index} out of range 1..{env.universe_size}",
-            node.pos,
-        )
     return classical_fuzzify(node.index, node.k, env.universe_size)

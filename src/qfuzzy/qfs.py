@@ -209,7 +209,8 @@ def qand(
     kron = np.multiply.outer(va, vb)
     pa, pb = np.arange(1 << n)[:, None], np.arange(1 << n)
     amps = np.zeros(kron.shape + (1 << n,), dtype=np.complex128)
-    amps[:, pa, :, :, pb, :, pa & pb] = kron.transpose(1, 4, 0, 2, 3, 5)
+    out = (pa & pb)[None, :, None, None, :, None, None]
+    np.put_along_axis(amps, out, kron[..., None], axis=6)
     state = StateVector(total, amps.reshape(-1))
     layout = RegisterLayout(
         a.layout.relabeled("a.")

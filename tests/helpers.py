@@ -7,6 +7,7 @@ from functools import reduce
 import numpy as np
 
 from qfuzzy.exprparser import And, Defuz, ExprAst, Fuz, Ident, Not, Or, Superpose
+from qfuzzy.exprparser import Environment, plan
 from qfuzzy.fuzzy import FuzzySet
 from qfuzzy.statevec import StateVector
 
@@ -36,19 +37,6 @@ def random_fuzzy(rng: np.random.Generator, n: int) -> FuzzySet:
     return FuzzySet(rng.random(n))
 
 
-def qubits_needed(node: ExprAst, n: int) -> int:
-    """Register size eval_quantum allocates for a Superpose/Defuz-free node."""
-    if isinstance(node, Ident):
-        return n
-    if isinstance(node, Not):
-        return qubits_needed(node.child, n)
-    if isinstance(node, (And, Or)):
-        return qubits_needed(node.left, n) + qubits_needed(node.right, n) + n
-    if isinstance(node, Fuz):
-        return 2 * n
-    raise TypeError(f"unsupported node for register accounting: {node!r}")
-
-
 def random_marginal_expr(
     rng: np.random.Generator,
     names: list[str],
@@ -75,7 +63,8 @@ def random_marginal_expr(
         return Not(random_marginal_expr(rng, names, n, depth - 1, budget))
     left_budget = int(rng.integers(n, budget - 2 * n + 1))
     left = random_marginal_expr(rng, names, n, depth - 1, left_budget)
-    right_budget = budget - n - qubits_needed(left, n)
+    env = Environment(n, {name: FuzzySet(np.zeros(n)) for name in names})
+    right_budget = budget - n - plan(left, env)
     right = random_marginal_expr(rng, names, n, depth - 1, right_budget)
     make = And if kind == "and" else Or
     return make(left, right)

@@ -84,6 +84,14 @@ def test_encode_rejects_malformed_json(capsys, monkeypatch):
     assert "malformed JSON" in err
 
 
+@pytest.mark.parametrize("command", ["encode", "eval", "report", "sample"])
+def test_deeply_nested_json_is_an_input_error(capsys, monkeypatch, command):
+    doc = "[" * 100_000 + "]" * 100_000
+    code, out, err = run_cli(capsys, monkeypatch, [command], doc)
+    assert (code, out) == (2, "")
+    assert err == "error: malformed JSON: nested too deeply\n"
+
+
 def test_encode_respects_cap(capsys, monkeypatch):
     payload = json.dumps({"universe_size": 25, "memberships": [0.5] * 25})
     code, _, err = run_cli(capsys, monkeypatch, ["encode"], payload)
@@ -233,6 +241,93 @@ def test_eval_cap_exceeded(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch, ["eval"], spec)
     assert code == 3
     assert "register of 3 qubits exceeds the cap of 2" in err
+
+
+def test_eval_refuses_over_cap_tree_before_building_a_register(capsys, monkeypatch):
+    import qfuzzy.exprparser
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a register was built")
+
+    monkeypatch.setattr(qfuzzy.exprparser, "qand", unreachable)
+    monkeypatch.setattr(qfuzzy.exprparser, "encode", unreachable)
+    spec = eval_spec(
+        universe_size=4,
+        sets={name: [0.5] * 4 for name in "ABC"},
+        expression="DEFUZ(((A AND B) OR C) AND A)",
+        mode="quantum",
+    )
+    code, out, err = run_cli(capsys, monkeypatch, ["eval"], spec)
+    assert (code, out) == (3, "")
+    assert err == "error: register of 32 qubits exceeds the cap of 24 qubits\n"
+
+
+def test_eval_superpose_fuz_leaf_fits_a_cap_of_one_segment(capsys, monkeypatch):
+    spec = eval_spec(
+        universe_size=3,
+        sets={"A": [0.5] * 3},
+        expression="SUPERPOSE(1.0 * FUZ(2, 0))",
+        mode="quantum",
+        qubit_cap=3,
+    )
+    code, out, err = run_cli(capsys, monkeypatch, ["eval"], spec)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["total_qubits"] == 3
+
+
+@pytest.mark.parametrize(
+    "expression, exit_code, message",
+    [
+        ("(A AND A) AND C", 4, "unbound identifier 'C' at 1:15"),
+        (
+            "SUPERPOSE(1.0 * A, -1.0 * A) AND A",
+            3,
+            "register of 6 qubits exceeds the cap of 4 qubits",
+        ),
+    ],
+)
+def test_eval_fault_precedence(capsys, monkeypatch, expression, exit_code, message):
+    spec = eval_spec(
+        universe_size=2,
+        sets={"A": [0.5, 0.3]},
+        expression=expression,
+        mode="quantum",
+        qubit_cap=4,
+    )
+    code, out, err = run_cli(capsys, monkeypatch, ["eval"], spec)
+    assert (code, out) == (exit_code, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "expression",
+    ["(" * 300 + "A" + ")" * 300, "NOT " * 990 + "A", " AND ".join(["A"] * 990)],
+    ids=["parentheses", "not", "and-chain"],
+)
+def test_eval_deeply_nested_expression(capsys, monkeypatch, expression):
+    spec = eval_spec(expression=expression)
+    code, out, err = run_cli(capsys, monkeypatch, ["eval"], spec)
+    assert (code, out) == (4, "")
+    assert err == "error: expression nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "message, shown",
+    [
+        ("Unable to allocate 1.00 TiB", "Unable to allocate 1.00 TiB"),
+        ("", "allocation failed"),
+    ],
+)
+def test_eval_out_of_memory_is_a_resource_error(capsys, monkeypatch, message, shown):
+    import qfuzzy.exprparser
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(qfuzzy.exprparser, "qand", exhausted)
+    code, out, err = run_cli(capsys, monkeypatch, ["eval"], eval_spec(mode="quantum"))
+    assert (code, out) == (3, "")
+    assert err == f"error: out of memory: {shown}\n"
 
 
 def test_eval_missing_field(capsys, monkeypatch):

@@ -11,6 +11,7 @@ from qfuzzy.analysis import total_variation
 from qfuzzy.errors import ResourceLimitError
 from qfuzzy.exprparser import (
     And,
+    Defuz,
     Environment,
     EvalError,
     Fuz,
@@ -23,6 +24,7 @@ from qfuzzy.exprparser import (
     eval_quantum,
     evaluate,
     parse,
+    plan,
     pretty_print,
 )
 from qfuzzy.fuzzy import FuzzySet
@@ -198,6 +200,60 @@ def test_quantum_cap_reports_request():
     )
     with pytest.raises(ResourceLimitError, match="register of 9 qubits exceeds the cap of 8"):
         eval_quantum(parse("A AND B"), env)
+
+
+def _random_planned_tree(rng, names, n, width):
+    """Random DEFUZ-free tree with SUPERPOSE leaves whose register holds at
+    most ``width`` segments of ``n`` qubits."""
+    kinds = ["ident", "superpose"] + (["fuz", "not"] if width >= 2 else [])
+    kinds += ["and", "or"] if width >= 3 else []
+    kind = kinds[int(rng.integers(len(kinds)))]
+    if kind == "ident":
+        return Ident(names[int(rng.integers(len(names)))])
+    if kind == "fuz":
+        return Fuz(int(rng.integers(1, n + 1)), int(rng.integers(0, 3)))
+    if kind == "superpose":
+        leaves = [Ident(name) for name in names] + [Fuz(n, 1)]
+        return Superpose(tuple(
+            (float(rng.uniform(0.5, 2.0)), leaves[int(rng.integers(len(leaves)))])
+            for _ in range(int(rng.integers(1, 4)))
+        ))
+    if kind == "not":
+        return Not(_random_planned_tree(rng, names, n, width))
+    left_width = int(rng.integers(1, width - 1))
+    left = _random_planned_tree(rng, names, n, left_width)
+    right = _random_planned_tree(rng, names, n, width - 1 - left_width)
+    return (And if kind == "and" else Or)(left, right)
+
+
+def _subtrees(node):
+    yield node
+    for attr in ("child", "left", "right"):
+        if hasattr(node, attr):
+            yield from _subtrees(getattr(node, attr))
+
+
+def test_plan_equals_allocated_qubits():
+    rng = np.random.default_rng(113)
+    names = ["A", "B"]
+    for _ in range(100):
+        n = int(rng.integers(1, 4))
+        env = Environment(
+            universe_size=n,
+            bindings={name: random_fuzzy(rng, n) for name in names},
+            mode="quantum",
+            qubit_cap=18,
+        )
+        ast = _random_planned_tree(rng, names, n, width=18 // n - 1)
+        for node in _subtrees(ast):
+            assert plan(node, env) == eval_quantum(node, env).state.n_qubits
+        planned = plan(Defuz(ast), env)
+        assert planned == plan(ast, env) + n
+        capped = Environment(n, env.bindings, mode="quantum", qubit_cap=planned)
+        eval_quantum(Defuz(ast), capped)
+        short = Environment(n, env.bindings, mode="quantum", qubit_cap=planned - 1)
+        with pytest.raises(ResourceLimitError, match=f"register of {planned} qubits"):
+            eval_quantum(Defuz(ast), short)
 
 
 def test_quantum_defuz_counts():
