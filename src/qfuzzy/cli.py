@@ -15,7 +15,7 @@ import numpy as np
 
 from . import serialize
 from .analysis import entanglement_report
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, _brief
 from .exprparser import Environment, EvalError, ParseError, evaluate, parse
 from .fuzzy import FuzzySet
 from .qfs import QuantumFuzzySet, encode, value_marginals
@@ -65,13 +65,12 @@ def _read_spec(d: object, args: argparse.Namespace) -> tuple[str, Environment]:
     if not isinstance(d["sets"], dict):
         raise ValueError("sets must be an object mapping names to membership arrays")
     sets = {
-        name: FuzzySet(serialize.json_numbers(memberships, f"set {name!r}"))
+        name: FuzzySet(serialize.json_numbers(memberships, f"set {_brief(name)}"))
         for name, memberships in d["sets"].items()
     }
     if not isinstance(d["expression"], str):
-        raise ValueError(
-            f"expression must be a JSON string, got {json.dumps(d['expression'])}"
-        )
+        shown = _brief(d["expression"], json.dumps)
+        raise ValueError(f"expression must be a JSON string, got {shown}")
     run = {"mode": d["mode"]} if "mode" in d else {}
     for key, minimum in (("seed", 0), ("trials", 1), ("qubit_cap", 0)):
         if key in d:

@@ -24,6 +24,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
+from .errors import _brief
 from .fuzzy import (
     FuzzySet,
     classical_fuzzify,
@@ -78,6 +79,9 @@ _TOKEN_RE = re.compile(
     r"|(?P<RPAREN>\))"
     r"|(?P<COMMA>,)"
     r"|(?P<STAR>\*)"
+    r"|(?P<NEWLINE>\n)"
+    r"|(?P<SPACE>[ \t\r]+)"
+    r"|(?P<OTHER>.)"
 )
 
 _INT_RE = re.compile(r"\d+")
@@ -93,34 +97,25 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    pos = 0
     line = 1
     line_start = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch == "\n":
-            pos += 1
+    for match in _TOKEN_RE.finditer(text):
+        kind, tok_text = match.lastgroup, match.group()
+        col = match.start() - line_start + 1
+        if kind == "NEWLINE":
             line += 1
-            line_start = pos
-            continue
-        if ch in " \t\r":
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(text, pos)
-        col = pos - line_start + 1
-        if match is None:
+            line_start = match.end()
+        elif kind == "OTHER":
             raise ParseError(
-                f"lexical error at {line}:{col}: unexpected character {ch!r}",
+                f"lexical error at {line}:{col}: unexpected character {tok_text!r}",
                 line,
                 col,
             )
-        kind = match.lastgroup or ""
-        tok_text = match.group()
-        if kind == "IDENT" and tok_text in KEYWORDS:
-            kind = tok_text
-        tokens.append(Token(kind, tok_text, line, col))
-        pos = match.end()
-    tokens.append(Token("EOF", "", line, pos - line_start + 1))
+        elif kind != "SPACE":
+            if kind == "IDENT" and tok_text in KEYWORDS:
+                kind = tok_text
+            tokens.append(Token(kind, tok_text, line, col))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -324,14 +319,15 @@ class Environment:
         if self.universe_size < 1:
             raise ValueError(f"universe_size must be >= 1, got {self.universe_size}")
         if self.mode not in ("classical", "quantum"):
-            raise ValueError(f"mode must be 'classical' or 'quantum', got {self.mode!r}")
+            shown = _brief(self.mode)
+            raise ValueError(f"mode must be 'classical' or 'quantum', got {shown}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         check_shots(self.trials, "trials")
         for name, f in self.bindings.items():
             if f.universe_size != self.universe_size:
                 raise ValueError(
-                    f"set {name!r} has universe size {f.universe_size}, "
+                    f"set {_brief(name)} has universe size {f.universe_size}, "
                     f"expected {self.universe_size}"
                 )
 
@@ -377,7 +373,7 @@ def _width(node: ExprAst, env: Environment) -> int:
             )
         return 2
     if node.name not in env.bindings:
-        raise EvalError(f"unbound identifier '{node.name}'", node.pos)
+        raise EvalError(f"unbound identifier {_brief(node.name)}", node.pos)
     return 1
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -235,22 +235,22 @@ def qor(
     return qnot(g)
 
 
-def _smear_mask(bits: int, k: int, n: int) -> int:
-    """Positions within distance k of a set bit, as an n-bit mask; a radius
-    of n - 1 reaches them all."""
-    full = (1 << n) - 1
-    out = 0
-    for s in range(min(k, n - 1) + 1):
-        out |= (bits << s) & full
-        out |= bits >> s
-    return out
-
-
-def _half_mix_image(mask: int, n: int) -> np.ndarray:
-    """Product state with qubit i in (|0>+|1>)/sqrt(2) where mask bit i is
-    set and |0> elsewhere, as a real amplitude vector."""
-    bits = (mask >> np.arange(n - 1, -1, -1)) & 1
-    return _product_amplitudes(0.5 * bits)
+def _window_images(patterns: Iterable[int], k: int, n: int) -> Iterator[tuple]:
+    """Yield ``(p, image)`` for each n-bit value pattern p: the product state
+    with qubit i in (|0>+|1>)/sqrt(2) where a set bit of p lies within
+    distance k of i, and |0> elsewhere (a radius of n - 1 reaches every
+    qubit).  Patterns with the same window share one image."""
+    shifts = range(min(k, n - 1) + 1)
+    bits = np.arange(n - 1, -1, -1)
+    images: dict[int, np.ndarray] = {}
+    for p in map(int, patterns):
+        window = 0
+        for s in shifts:
+            window |= (p << s) | (p >> s)
+        window &= (1 << n) - 1
+        if window not in images:
+            images[window] = _product_amplitudes(0.5 * ((window >> bits) & 1))
+        yield p, images[window]
 
 
 def fuz_linear(state: StateVector, k: int, renormalize: bool = False) -> StateVector:
@@ -258,23 +258,17 @@ def fuz_linear(state: StateVector, k: int, renormalize: bool = False) -> StateVe
 
     Each basis state maps to the product state with qubit i in
     (|0>+|1>)/sqrt(2) whenever some set bit lies within distance ``k`` of i,
-    and |0> otherwise; superpositions are mapped linearly.  Distinct basis
-    states can share an image, so norm is generally not preserved; with
-    ``renormalize`` the output is rescaled to unit norm and a complete
-    cancellation raises.
+    and |0> otherwise; a superposition maps to the sum of each nonzero
+    amplitude times its pattern's window image.  Distinct basis states can
+    share an image, so norm is generally not preserved; with ``renormalize``
+    the output is rescaled to unit norm and a complete cancellation raises.
     """
     if k < 0:
         raise ValueError(f"window radius must be >= 0, got {k}")
     n = state.n_qubits
     out = np.zeros(1 << n, dtype=np.complex128)
-    images: dict[int, np.ndarray] = {}
-    for idx in np.nonzero(state.amplitudes)[0]:
-        mask = _smear_mask(int(idx), k, n)
-        img = images.get(mask)
-        if img is None:
-            img = _half_mix_image(mask, n)
-            images[mask] = img
-        out += state.amplitudes[idx] * img
+    for p, image in _window_images(np.flatnonzero(state.amplitudes), k, n):
+        out += state.amplitudes[p] * image
     if renormalize:
         norm = np.linalg.norm(out)
         if norm < NORM_TOL:
@@ -297,8 +291,8 @@ def fuz_isometry(
     images of distinct basis states stay orthogonal, so the map is an
     isometry on the zero-padded subspace (its extension off that subspace is
     deliberately left unspecified).  The appended segment becomes the value
-    segment.  A nonzero amplitude's value bit pattern is its index on the
-    value axis of the input read as a (before, value, after) array.
+    segment.  On the input read as a (before, value, after) array, each value
+    pattern with amplitude writes its window image beside its whole slab.
     """
     if k < 0:
         raise ValueError(f"window radius must be >= 0, got {k}")
@@ -307,14 +301,8 @@ def fuz_isometry(
     check_register_cap(total, cap)
     va = _value_axis(q, q.state.amplitudes)
     out = np.zeros(va.shape + (1 << n,), dtype=np.complex128)
-    images: dict[int, np.ndarray] = {}
-    for i, p, j in zip(*np.nonzero(va)):
-        mask = _smear_mask(int(p), k, n)
-        img = images.get(mask)
-        if img is None:
-            img = _half_mix_image(mask, n)
-            images[mask] = img
-        out[i, p, j] = va[i, p, j] * img
+    for p, image in _window_images(np.flatnonzero(va.any(axis=(0, 2))), k, n):
+        out[:, p] = va[:, p, :, None] * image
     layout = RegisterLayout(
         q.layout.relabeled("in.") + ((VALUE_SEGMENT, q.state.n_qubits + 1, n),)
     )
@@ -408,10 +396,11 @@ def superpose(
         common_universe(f, terms[0][1])
         if not np.isfinite(c):
             raise ValueError(f"superposition coefficient must be finite, got {c}")
+    check_register_cap(n, cap)
     vec = np.zeros(1 << n, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         for c, f in terms:
-            vec += complex(c) * encode(f, cap).state.amplitudes
+            vec += complex(c) * _product_amplitudes(f.memberships)
         pre_norm = float(np.linalg.norm(vec))
     if not math.isfinite(pre_norm):
         raise ValueError("superposition norm overflows: coefficients too large")

@@ -15,6 +15,7 @@ from typing import Any, Iterable, Mapping
 import numpy as np
 
 from .analysis import EntanglementReport
+from .errors import _brief
 from .fuzzy import CrispSubset, FuzzySet
 from .qfs import VALUE_SEGMENT, QuantumFuzzySet, RegisterLayout
 from .statevec import StateVector, check_register_cap
@@ -82,7 +83,7 @@ def json_int(value: Any, what: str, minimum: int) -> int:
     """A JSON integer (not a bool, a float or a string) >= ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ValueError(
-            f"{what} must be an integer >= {minimum}, got {json.dumps(value)}"
+            f"{what} must be an integer >= {minimum}, got {_brief(value, json.dumps)}"
         )
     return value
 
@@ -174,7 +175,9 @@ def qfs_from_dict(d: Mapping, cap: int) -> QuantumFuzzySet:
     segments = []
     for row in layout_rows:
         if not (isinstance(row, (list, tuple)) and len(row) == 3):
-            raise ValueError(f"layout rows must be [name, start, length], got {row!r}")
+            raise ValueError(
+                f"layout rows must be [name, start, length], got {_brief(row)}"
+            )
         name, start, length = row
         start = json_int(start, "layout start", 1)
         segments.append((str(name), start, json_int(length, "layout length", 1)))

@@ -490,6 +490,34 @@ def test_report_rejects_non_number_amplitudes(capsys, monkeypatch, pair):
     assert "pairs of JSON numbers" in err
 
 
+LONG_ARRAY = list(range(20000))
+
+
+@pytest.mark.parametrize(
+    "command, document, exit_code",
+    [
+        ("eval", eval_spec(seed=LONG_ARRAY), 2),
+        ("eval", eval_spec(universe_size="1" * 20000), 2),
+        ("eval", eval_spec(mode=LONG_ARRAY), 2),
+        ("eval", eval_spec(sets={"A" * 20000: "0.5"}), 2),
+        ("eval", eval_spec().replace('"A AND B"', "[" * 900 + "]" * 900), 2),
+        ("eval", eval_spec(expression="A AND " + "C" * 20000), 4),
+        ("report", two_qubit_state([LONG_ARRAY]), 2),
+    ],
+    ids=[
+        "seed", "universe_size", "mode", "set_name", "expression", "identifier",
+        "layout_row",
+    ],
+)
+def test_rejected_value_is_not_echoed_whole(
+    capsys, monkeypatch, command, document, exit_code
+):
+    code, out, err = run_cli(capsys, monkeypatch, [command], document)
+    assert code == exit_code
+    assert out == ""
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+
+
 # --- sample --------------------------------------------------------------------
 
 

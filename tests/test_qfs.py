@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -453,6 +454,18 @@ def test_superpose_large_finite_coefficients_renormalize():
     assert q.pre_norm == pytest.approx(1e150)
 
 
+def test_superpose_refuses_over_cap_before_allocating():
+    f = FuzzySet([0.5] * 22)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="exceeds the cap of 20"):
+            superpose([(1.0, f)], cap=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_superpose_requires_terms():
     with pytest.raises(ValueError, match="at least one"):
         superpose([])
@@ -604,8 +617,9 @@ def reference_defuzzify(q, rng, trials):
 
 def oracle_operands(rng, n):
     """Encoded, crisp, grown (AND output) and entangled (SUPERPOSE, and an
-    AND over it) registers with a universe of n, and a random state whose
-    value segment has a qubit after it."""
+    AND over it) registers with a universe of n, a random state whose value
+    segment has a qubit after it, and a random state with about half of its
+    amplitudes zero whose value segment lies between two others."""
     a, b = encode(random_fuzzy(rng, n)), encode(random_fuzzy(rng, n))
     crisp = encode(FuzzySet(rng.integers(0, 2, n).astype(float)))
     entangled = superpose([(0.6, random_fuzzy(rng, n)), (0.8j, random_fuzzy(rng, n))])
@@ -613,7 +627,15 @@ def oracle_operands(rng, n):
         random_state(rng, 2 * n + 1),
         RegisterLayout((("x", 1, n), ("value", n + 1, n), ("y", 2 * n + 1, 1))),
     )
-    return [a, crisp, qand(a, b), entangled, qand(entangled, b), inner]
+    amps = random_state(rng, n + 2).amplitudes
+    amps[rng.random(amps.size) < 0.5] = 0
+    if not amps.any():
+        amps[0] = 1
+    sparse = QuantumFuzzySet(
+        StateVector(n + 2, amps / np.linalg.norm(amps)),
+        RegisterLayout((("x", 1, 1), ("value", 2, n), ("y", n + 2, 1))),
+    )
+    return [a, crisp, qand(a, b), entangled, qand(entangled, b), inner, sparse]
 
 
 def test_encode_equals_rotation_circuit():
@@ -658,21 +680,49 @@ def test_connectives_equal_gate_circuits():
             assert np.array_equal(got_or.amplitudes, gate_qor(a, b).amplitudes)
 
 
+def reference_window_image(bits, k):
+    """The kron of the qubit columns of the window that a bit string
+    ``bits`` smears to: (|0>+|1>)/sqrt(2) within distance k of a 1, |0>
+    elsewhere."""
+    ones = [i for i, bit in enumerate(bits) if bit == "1"]
+    window = [any(abs(i - j) <= k for j in ones) for i in range(len(bits))]
+    columns = [np.array([HALF, HALF]) if w else np.array([1.0, 0.0]) for w in window]
+    return reduce(np.kron, columns)
+
+
+def reference_fuz_linear(state, k):
+    """FUZ as a linear map, one amplitude at a time: the sum over nonzero
+    basis indices of the amplitude times the index's window image."""
+    n = state.n_qubits
+    out = np.zeros(1 << n, dtype=np.complex128)
+    for idx in np.nonzero(state.amplitudes)[0]:
+        out += state.amplitudes[idx] * reference_window_image(format(idx, f"0{n}b"), k)
+    return out
+
+
+def test_fuz_linear_equals_per_amplitude_reference():
+    rng = np.random.default_rng(251)
+    for n in range(1, 7):
+        for zero_frac in (0.0, 0.5, 0.9):
+            amps = random_state(rng, n).amplitudes
+            amps[rng.random(amps.size) < zero_frac] = 0
+            state = StateVector(n, amps)
+            for k in range(n + 2):
+                got = fuz_linear(state, k).amplitudes
+                assert np.array_equal(got, reference_fuz_linear(state, k))
+
+
 def reference_fuz_isometry(q, k):
     """FUZ one amplitude at a time on flat basis indices: decode each
-    nonzero index's value bits, smear them by the window definition, and
-    write the amplitude times the kron of the window's qubit columns into
-    the block of 2^N output amplitudes at that index."""
+    nonzero index's value bits and write the amplitude times their window
+    image into the block of 2^N output amplitudes at that index."""
     n, n_in = q.universe_size, q.state.n_qubits
     start = q.layout.segment("value")[0]
     block = 1 << n
     out = np.zeros(block << n_in, dtype=np.complex128)
     for idx in np.nonzero(q.state.amplitudes)[0]:
         bits = format(int(idx), f"0{n_in}b")[start - 1 : start - 1 + n]
-        ones = [i for i, bit in enumerate(bits) if bit == "1"]
-        window = [any(abs(i - j) <= k for j in ones) for i in range(n)]
-        columns = [np.array([HALF, HALF]) if w else np.array([1.0, 0.0]) for w in window]
-        img = reduce(np.kron, columns)
+        img = reference_window_image(bits, k)
         base = int(idx) * block
         out[base : base + block] = q.state.amplitudes[idx] * img
     return out
