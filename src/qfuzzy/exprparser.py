@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import or_
 from typing import Mapping, Union
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import _brief
 from .fuzzy import (
     FuzzySet,
     classical_fuzzify,
+    com_law,
     com_pushforward,
     complement,
     intersect,
@@ -36,6 +38,7 @@ from .fuzzy import (
 from .qfs import (
     QuantumFuzzySet,
     defuzzify,
+    draw_counts,
     encode,
     fuz_isometry,
     qand,
@@ -348,11 +351,35 @@ def plan(ast: ExprAst, env: Environment) -> int:
     return env.universe_size * _width(ast, env)
 
 
-def _width(node: ExprAst, env: Environment) -> int:
+def _fold(node: ExprAst, leaf, negate, conj, disj):
+    """Bottom-up value of ``node``: ``leaf(node)`` at a leaf, ``negate`` at
+    NOT, and ``conj`` or ``disj`` of the left and right values at AND or OR,
+    with children taken left to right.  A left-deep AND/OR chain, which is
+    what the parser makes of ``A AND B AND ...``, is walked in a loop, so
+    its length does not count against the recursion limit."""
     if isinstance(node, Not):
-        return _width(node.child, env)
-    if isinstance(node, (And, Or)):
-        return _width(node.left, env) + _width(node.right, env) + 1
+        return negate(_fold(node.child, leaf, negate, conj, disj))
+    if not isinstance(node, (And, Or)):
+        return leaf(node)
+    links = []
+    while isinstance(node, (And, Or)):
+        links.append(node)
+        node = node.left
+    value = _fold(node, leaf, negate, conj, disj)
+    for link in reversed(links):
+        right = _fold(link.right, leaf, negate, conj, disj)
+        value = (conj if isinstance(link, And) else disj)(value, right)
+    return value
+
+
+def _width(node: ExprAst, env: Environment) -> int:
+    def connective(left: int, right: int) -> int:
+        return left + right + 1
+
+    return _fold(node, lambda leaf: _leaf_width(leaf, env), int, connective, connective)
+
+
+def _leaf_width(node: ExprAst, env: Environment) -> int:
     if isinstance(node, Defuz):
         raise EvalError("DEFUZ is only allowed at the top level", node.pos)
     if isinstance(node, Superpose):
@@ -363,7 +390,7 @@ def _width(node: ExprAst, env: Environment) -> int:
                 raise EvalError(
                     "SUPERPOSE terms must be identifiers or FUZ leaves", term.pos
                 )
-            _width(term, env)
+            _leaf_width(term, env)
         return 1
     if isinstance(node, Fuz):
         if not 1 <= node.index <= env.universe_size:
@@ -394,33 +421,45 @@ def eval_classical(ast: ExprAst, env: Environment) -> FuzzySet | dict[int, float
 
 
 def _classical_set(node: ExprAst, env: Environment) -> FuzzySet:
-    if isinstance(node, Not):
-        return complement(_classical_set(node.child, env))
-    if isinstance(node, (And, Or)):
-        op = intersect if isinstance(node, And) else union
-        return op(_classical_set(node.left, env), _classical_set(node.right, env))
-    return _leaf(node, env)
+    return _fold(node, lambda leaf: _leaf(leaf, env), complement, intersect, union)
 
 
 def eval_quantum(ast: ExprAst, env: Environment) -> QuantumFuzzySet | dict[int, int]:
     """Register simulation; a top-level DEFUZ returns sampled center-of-mass
     counts over ``env.trials`` trials seeded by ``env.seed``.  The planned
-    register is checked against ``env.qubit_cap`` before any is built."""
+    register is checked against ``env.qubit_cap`` before anything is built.
+
+    Under a SUPERPOSE-free DEFUZ no register is built at all.  Each gate the
+    evaluator applies there (X, or a Toffoli into fresh |0>) permutes basis
+    states within one universe element's column, and each connective's
+    inputs are separate registers, so the value bits are independent: the
+    readout law is :func:`com_law` of their Born weights
+    (:func:`_born_weights`), and the counts are drawn from it as
+    :func:`defuzzify` draws them from the register.  A superposed state is
+    not a product across elements, so a DEFUZ over SUPERPOSE reads the
+    register.
+    """
     check_register_cap(plan(ast, env), env.qubit_cap)
-    if isinstance(ast, Defuz):
+    if not isinstance(ast, Defuz):
+        return _quantum_state(ast, env)
+    rng = np.random.default_rng(env.seed)
+    if _contains_superpose(ast.child):
         state = _quantum_state(ast.child, env)
-        rng = np.random.default_rng(env.seed)
         return defuzzify(state, rng, env.trials, cap=env.qubit_cap)
-    return _quantum_state(ast, env)
+    return draw_counts(com_law(*_born_weights(ast.child, env)), rng, env.trials)
 
 
 def _quantum_state(node: ExprAst, env: Environment) -> QuantumFuzzySet:
-    if isinstance(node, Not):
-        return qnot(_quantum_state(node.child, env))
-    if isinstance(node, (And, Or)):
-        gate = qand if isinstance(node, And) else qor
-        left, right = _quantum_state(node.left, env), _quantum_state(node.right, env)
-        return gate(left, right, cap=env.qubit_cap)
+    return _fold(
+        node,
+        lambda leaf: _leaf_state(leaf, env),
+        qnot,
+        lambda a, b: qand(a, b, cap=env.qubit_cap),
+        lambda a, b: qor(a, b, cap=env.qubit_cap),
+    )
+
+
+def _leaf_state(node: Ident | Fuz | Superpose, env: Environment) -> QuantumFuzzySet:
     if isinstance(node, Fuz):
         one_hot = np.zeros(env.universe_size)
         one_hot[node.index - 1] = 1.0
@@ -430,6 +469,37 @@ def _quantum_state(node: ExprAst, env: Environment) -> QuantumFuzzySet:
         terms = [(c, _leaf(t, env)) for c, t in node.terms]
         return superpose(terms, cap=env.qubit_cap)
     return encode(_leaf(node, env), cap=env.qubit_cap)
+
+
+def _contains_superpose(node: ExprAst) -> bool:
+    return _fold(node, lambda leaf: isinstance(leaf, Superpose), bool, or_, or_)
+
+
+def _born_weights(node: ExprAst, env: Environment) -> np.ndarray:
+    """(2, N) Born weights of each element's value bit being 0 and 1 in the
+    register a SUPERPOSE-free ``node`` evaluates to.  A leaf encodes
+    (1 - m, m), which for a FUZ window is (1/2, 1/2) inside and (1, 0)
+    outside; NOT swaps the rows; AND's Toffoli sets the bit with weight
+    a1 b1; OR is NOT(NOT a AND NOT b), as :func:`qor` is.  Pairs, not the
+    memberships of :func:`_classical_set`, keep the register's exact zeros:
+    the union f + g - fg with f = 1 can leave about 1e-17 on a bit the
+    register holds crisply, and that moves the sampled counts.
+    """
+
+    def leaf(node: Ident | Fuz) -> np.ndarray:
+        m = _leaf(node, env).memberships
+        return np.stack((1.0 - m, m))
+
+    def negate(w: np.ndarray) -> np.ndarray:
+        return w[::-1]
+
+    def conj(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.stack((a[0] * (b[0] + b[1]) + a[1] * b[0], a[1] * b[1]))
+
+    def disj(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return negate(conj(negate(a), negate(b)))
+
+    return _fold(node, leaf, negate, conj, disj)
 
 
 def _leaf(node: Ident | Fuz, env: Environment) -> FuzzySet:

@@ -150,17 +150,39 @@ def oracle_distribution(f: FuzzySet) -> dict[str, float]:
     return {format(i, f"0{n}b"): float(p) for i, p in enumerate(probs)}
 
 
-def com_pushforward(f: FuzzySet) -> dict[int, float]:
-    """Exact distribution of the center-of-mass index under the collapse law.
+def com_law(absent: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Distribution of the center-of-mass index 0..N of a random subset of
+    {1..N} whose elements are independently absent or present with the
+    given weights (``absent[i-1] + present[i-1]`` is 1 for each element).
 
     A dynamic program over (member count, index sum) instead of the 2^N
-    subsets of :func:`oracle_distribution`.  ``P[c, s]`` is the probability
-    that the collapsed subset of elements 1..i has c members whose indices
-    sum to s; element i updates it as
-    ``P <- P (1 - m_i) + shift(P, by (1, i)) m_i``.  The masses are then
-    summed by :func:`com_from_sums` of each (c, s).  ``P`` holds
-    (N + 1) x (N(N+1)/2 + 1) reals, O(N^3) memory.  Only indices of
-    positive probability appear, in ascending order.
+    subsets.  ``P[c, s]`` is the probability that the subset of elements
+    1..i has c members whose indices sum to s; element i updates it as
+    ``P <- P absent_i + shift(P, by (1, i)) present_i``, touching only the
+    block elements 1..i-1 can reach (c < i, s <= i(i-1)/2).  The masses are
+    then summed by :func:`com_from_sums` of each (c, s).  ``P`` holds
+    (N + 1) x (N(N+1)/2 + 1) reals, O(N^3) memory, and the steps take
+    O(N^4) time in all.
+    """
+    n = absent.size
+    p = np.zeros((n + 1, n * (n + 1) // 2 + 1))
+    p[0, 0] = 1.0
+    for i, (w0, w1) in enumerate(zip(absent, present), start=1):
+        reach = (i - 1) * i // 2 + 1
+        block = p[:i, :reach]
+        joined = block * w1
+        block *= w0
+        p[1 : i + 1, i : i + reach] += joined
+    count, index_sum = np.indices(p.shape)
+    mass = np.bincount(com_from_sums(count, index_sum).ravel(), weights=p.ravel())
+    return mass[: n + 1]  # a cell with s > N c, past index N, is unreachable
+
+
+def com_pushforward(f: FuzzySet) -> dict[int, float]:
+    """Exact distribution of the center-of-mass index under the collapse law:
+    :func:`com_law` with element i present with probability f(i).  Only
+    indices of positive probability appear, in ascending order.  Universes
+    above :data:`MAX_ENUM_UNIVERSE` are refused.
     """
     n = f.universe_size
     if n > MAX_ENUM_UNIVERSE:
@@ -168,13 +190,6 @@ def com_pushforward(f: FuzzySet) -> dict[int, float]:
             f"universe of size {n} exceeds the classical DEFUZ limit of "
             f"{MAX_ENUM_UNIVERSE}"
         )
-    top = n * (n + 1) // 2
-    p = np.zeros((n + 1, top + 1))
-    p[0, 0] = 1.0
-    for i, m in enumerate(f.memberships, start=1):
-        joined = p[:-1, : top + 1 - i] * m
-        p *= 1.0 - m
-        p[1:, i:] += joined
-    count, index_sum = np.indices(p.shape)
-    mass = np.bincount(com_from_sums(count, index_sum).ravel(), weights=p.ravel())
+    m = f.memberships
+    mass = com_law(1.0 - m, m)
     return {int(k): float(mass[k]) for k in np.flatnonzero(mass > 0.0)}

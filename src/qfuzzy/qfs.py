@@ -364,7 +364,9 @@ def defuzzify(
     marginal is summed from the unpadded register read as a (before, value,
     after) array: the distribution along the value axis, binned by
     :func:`_com_table`.  The cap still counts the N ancillas.  The trials
-    are independent, so they are drawn in one pass from that marginal.
+    are independent, so :func:`draw_counts` draws them in one pass from
+    that marginal.  (The evaluator draws a SUPERPOSE-free expression's
+    counts from per-element weights instead, without a register.)
     """
     check_shots(trials, "trials")
     n = q.universe_size
@@ -372,8 +374,16 @@ def defuzzify(
     index_probs = np.bincount(
         _com_table(n), weights=_value_distribution(q), minlength=n + 1
     )
-    index_probs /= index_probs.sum()
-    counts = rng.multinomial(trials, index_probs)
+    return draw_counts(index_probs, rng, trials)
+
+
+def draw_counts(
+    index_probs: np.ndarray, rng: np.random.Generator, trials: int
+) -> dict[int, int]:
+    """Counts of ``trials`` independent center-of-mass readouts drawn from
+    ``index_probs`` over indices 0..N, renormalized first; only the indices
+    drawn at least once appear."""
+    counts = rng.multinomial(trials, index_probs / index_probs.sum())
     return {int(i): int(c) for i, c in enumerate(counts) if c}
 
 

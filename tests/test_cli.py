@@ -301,14 +301,34 @@ def test_eval_fault_precedence(capsys, monkeypatch, expression, exit_code, messa
 
 @pytest.mark.parametrize(
     "expression",
-    ["(" * 300 + "A" + ")" * 300, "NOT " * 990 + "A", " AND ".join(["A"] * 990)],
-    ids=["parentheses", "not", "and-chain"],
+    ["(" * 300 + "A" + ")" * 300, "NOT " * 990 + "A"],
+    ids=["parentheses", "not"],
 )
 def test_eval_deeply_nested_expression(capsys, monkeypatch, expression):
     spec = eval_spec(expression=expression)
     code, out, err = run_cli(capsys, monkeypatch, ["eval"], spec)
     assert (code, out) == (4, "")
     assert err == "error: expression nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "connective, membership", [("AND", 0.5**990), ("OR", 1.0)], ids=["and", "or"]
+)
+def test_eval_long_flat_chain(capsys, monkeypatch, connective, membership):
+    # a flat chain is a left-deep tree: plan and the evaluator walk it in a loop
+    spec = eval_spec(expression=f" {connective} ".join(["A"] * 990))
+    code, out, err = run_cli(capsys, monkeypatch, ["eval"], spec)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["memberships"] == [membership]
+
+
+def test_eval_long_flat_chain_quantum_defuz(capsys, monkeypatch):
+    # 990 identifiers, 989 ANDs and the DEFUZ ancilla at N=1: 1980 qubits
+    expression = "DEFUZ(" + " AND ".join(["A"] * 990) + ")"
+    spec = eval_spec(expression=expression, mode="quantum", qubit_cap=1980)
+    code, out, err = run_cli(capsys, monkeypatch, ["eval"], spec)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["counts"] == {"0": 1000}
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,9 @@ import pytest
 
 from helpers import random_ast, random_fuzzy, random_marginal_expr
 
+from qfuzzy import exprparser
 from qfuzzy.analysis import total_variation
+from qfuzzy.cli import main
 from qfuzzy.errors import ResourceLimitError
 from qfuzzy.exprparser import (
     And,
@@ -20,6 +22,8 @@ from qfuzzy.exprparser import (
     Or,
     ParseError,
     Superpose,
+    _born_weights,
+    _quantum_state,
     eval_classical,
     eval_quantum,
     evaluate,
@@ -27,8 +31,14 @@ from qfuzzy.exprparser import (
     plan,
     pretty_print,
 )
-from qfuzzy.fuzzy import FuzzySet
-from qfuzzy.qfs import encode, value_marginals
+from qfuzzy.fuzzy import FuzzySet, com_law
+from qfuzzy.qfs import (
+    _com_table,
+    _value_distribution,
+    defuzzify,
+    encode,
+    value_marginals,
+)
 from qfuzzy.statevec import schmidt_rank
 
 GOLDEN = json.loads(
@@ -265,6 +275,99 @@ def test_quantum_defuz_counts():
         trials=77,
     )
     assert eval_quantum(parse("DEFUZ(A)"), env) == {1: 77}
+
+
+def _crisp_heavy(rng, n):
+    """Random memberships with about 30% of them exactly 0 or 1."""
+    m = rng.random(n)
+    crisp = rng.random(n) < 0.3
+    m[crisp] = rng.integers(0, 2, size=int(crisp.sum()))
+    return FuzzySet(m)
+
+
+def _dense_law(node, env):
+    """The oracle: the DEFUZ law binned from the dense register of ``node``."""
+    state = _quantum_state(node, env)
+    n = env.universe_size
+    return np.bincount(_com_table(n), weights=_value_distribution(state))
+
+
+def test_defuz_weights_law_matches_dense_register():
+    rng = np.random.default_rng(127)
+    names = ["A", "B", "C"]
+    for _ in range(120):
+        n = int(rng.integers(1, 5))
+        bindings = {name: _crisp_heavy(rng, n) for name in names}
+        env = Environment(universe_size=n, bindings=bindings, mode="quantum")
+        ast = random_marginal_expr(rng, names, n, depth=4, budget=20)
+        dense = _dense_law(ast, env)
+        law = com_law(*_born_weights(ast, env))
+        assert np.max(np.abs(law - dense)) <= 1e-12, pretty_print(ast)
+        assert np.array_equal(law == 0.0, dense == 0.0), pretty_print(ast)
+
+
+def _run_eval(tmp_path, capsys, spec, *flags):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = main(["eval", "--input", str(path), *flags])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_superpose_free_defuz_builds_no_register(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a register was built")
+
+    for gate in ("encode", "qand", "qor", "fuz_isometry", "defuzzify"):
+        monkeypatch.setattr(exprparser, gate, refuse)
+    spec = {
+        "universe_size": 3,
+        "sets": {"A": [0.2, 1.0, 0.7], "B": [0.0, 0.5, 0.9]},
+        "expression": "DEFUZ((A AND NOT FUZ(2, 1)) OR B)",
+        "mode": "quantum",
+        "seed": 4,
+        "trials": 500,
+    }
+    code, out, err = _run_eval(tmp_path, capsys, spec)
+    assert (code, err) == (0, "")
+    assert sum(json.loads(out)["counts"].values()) == 500
+
+
+def test_superpose_defuz_reads_the_register(monkeypatch):
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args[0].state.n_qubits)
+        return defuzzify(*args, **kwargs)
+
+    monkeypatch.setattr(exprparser, "defuzzify", recording)
+    env = env_for(2, "quantum", A=[0.3, 1.0], B=[0.0, 0.6])
+    counts = eval_quantum(parse("DEFUZ(NOT SUPERPOSE(0.6 * A, 0.8 * B) AND A)"), env)
+    assert calls == [6]
+    assert sum(counts.values()) == env.trials
+
+
+def test_defuz_past_classical_limit_with_raised_cap(tmp_path, capsys):
+    # N = 21 is over the classical DEFUZ limit; the quantum readout has none
+    rng = np.random.default_rng(131)
+    f = _crisp_heavy(rng, 21)
+    spec = {
+        "universe_size": 21,
+        "sets": {"A": f.memberships.tolist()},
+        "expression": "DEFUZ(A)",
+        "mode": "quantum",
+        "seed": 9,
+        "trials": 2000,
+    }
+    code, out, err = _run_eval(tmp_path, capsys, spec, "--qubit-cap", "42")
+    assert (code, err) == (0, "")
+    env = Environment(21, {"A": f}, mode="quantum", qubit_cap=42)
+    dense = _dense_law(Ident("A"), env)
+    law = com_law(*_born_weights(Ident("A"), env))
+    assert np.max(np.abs(law - dense)) <= 1e-12
+    assert np.array_equal(law == 0.0, dense == 0.0)
+    expected = defuzzify(encode(f, cap=42), np.random.default_rng(9), 2000, cap=42)
+    assert json.loads(out)["counts"] == {str(k): v for k, v in expected.items()}
 
 
 def test_evaluate_dispatches_on_mode():

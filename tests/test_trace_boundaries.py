@@ -48,3 +48,25 @@ def test_replay_records_gate_spans_and_cli_bytes(tracing, tmp_path, capsys):
     code = main(argv)
     assert results == [(code, capsys.readouterr().out.encode("utf-8"))]
     assert code == 0
+
+
+def test_replay_of_superpose_free_defuz_has_no_register_spans(tracing, tmp_path, capsys):
+    spec = {
+        "universe_size": 3,
+        "sets": {"A": [0.5, 0.3, 1.0], "B": [0.0, 0.9, 0.4]},
+        "expression": "DEFUZ(A AND B)",
+        "mode": "quantum",
+        "seed": 2,
+        "trials": 100,
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    argv = ["eval", "--input", str(path)]
+    recorder, results = tracing.replay([argv])
+    names = {span.name for span in recorder.spans}
+    assert "exprparser.evaluate" in names
+    assert not names & {"qfs.qand", "qfs.encode", "qfs.defuzzify"}
+    capsys.readouterr()
+    code = main(argv)
+    assert results == [(code, capsys.readouterr().out.encode("utf-8"))]
+    assert code == 0
