@@ -24,7 +24,8 @@ ast = parse(source)
 print("source   :", source)
 print("canonical:", pretty_print(ast))
 
-# universe of 4: the full pipeline peaks at 20 qubits, inside the default cap
+# universe of 4: the plan counts 20 logical qubits (4 of them DEFUZ ancillas)
+# against the default cap of 24; the set feeding the DEFUZ is a 16-qubit register
 bindings = {"A": FuzzySet([0.9, 0.2, 0.4, 0.8])}
 
 classical_env = Environment(universe_size=4, bindings=bindings)

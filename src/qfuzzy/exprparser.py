@@ -11,7 +11,7 @@ then ``OR``; the binary connectives associate to the left)::
              | "SUPERPOSE" "(" NUM "*" expr ("," NUM "*" expr)* ")"
 
 Identifiers match ``[A-Za-z_][A-Za-z0-9_]*``; NUM is a decimal real (an
-optional sign, digits, optional fraction and exponent).  ``DEFUZ`` may only
+optional minus sign, digits, optional fraction and exponent).  ``DEFUZ`` may only
 appear at the top level of an evaluated expression, and ``SUPERPOSE`` is
 quantum-only with subterms restricted to identifiers and ``FUZ`` leaves.
 """
@@ -38,7 +38,6 @@ from .fuzzy import (
 from .qfs import (
     QuantumFuzzySet,
     defuzzify,
-    draw_counts,
     encode,
     fuz_isometry,
     qand,
@@ -46,7 +45,12 @@ from .qfs import (
     qor,
     superpose,
 )
-from .statevec import DEFAULT_QUBIT_CAP, check_register_cap, check_shots
+from .statevec import (
+    DEFAULT_QUBIT_CAP,
+    check_register_cap,
+    check_shots,
+    draw_counts,
+)
 
 
 class ParseError(Exception):

@@ -159,10 +159,10 @@ def com_law(absent: np.ndarray, present: np.ndarray) -> np.ndarray:
     subsets.  ``P[c, s]`` is the probability that the subset of elements
     1..i has c members whose indices sum to s; element i updates it as
     ``P <- P absent_i + shift(P, by (1, i)) present_i``, touching only the
-    block elements 1..i-1 can reach (c < i, s <= i(i-1)/2).  The masses are
-    then summed by :func:`com_from_sums` of each (c, s).  ``P`` holds
-    (N + 1) x (N(N+1)/2 + 1) reals, O(N^3) memory, and the steps take
-    O(N^4) time in all.
+    block elements 1..i-1 can reach (c < i, s <= i(i-1)/2).  Each count row
+    of ``P`` is then binned in place by :func:`com_from_sums` of its (c, s),
+    cell by cell in table order.  ``P`` holds (N + 1) x (N(N+1)/2 + 1)
+    reals, O(N^3) memory, and the steps take O(N^4) time in all.
     """
     n = absent.size
     p = np.zeros((n + 1, n * (n + 1) // 2 + 1))
@@ -173,8 +173,10 @@ def com_law(absent: np.ndarray, present: np.ndarray) -> np.ndarray:
         joined = block * w1
         block *= w0
         p[1 : i + 1, i : i + reach] += joined
-    count, index_sum = np.indices(p.shape)
-    mass = np.bincount(com_from_sums(count, index_sum).ravel(), weights=p.ravel())
+    sums = np.arange(p.shape[1])
+    mass = np.zeros(p.shape[1])
+    for count, row in enumerate(p):
+        np.add.at(mass, com_from_sums(count, sums), row)
     return mass[: n + 1]  # a cell with s > N c, past index N, is unreachable
 
 

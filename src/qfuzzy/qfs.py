@@ -23,6 +23,7 @@ from .statevec import (
     StateVector,
     check_register_cap,
     check_shots,
+    draw_counts,
 )
 
 VALUE_SEGMENT = "value"
@@ -235,22 +236,27 @@ def qor(
     return qnot(g)
 
 
-def _window_images(patterns: Iterable[int], k: int, n: int) -> Iterator[tuple]:
-    """Yield ``(p, image)`` for each n-bit value pattern p: the product state
-    with qubit i in (|0>+|1>)/sqrt(2) where a set bit of p lies within
-    distance k of i, and |0> elsewhere (a radius of n - 1 reaches every
-    qubit).  Patterns with the same window share one image."""
+def _windows(patterns: Iterable[int], k: int, n: int) -> Iterator[tuple]:
+    """Yield ``(p, window, value)`` for each n-bit value pattern p.  Its FUZ
+    image is the product state with qubit i in (|0>+|1>)/sqrt(2) where a set
+    bit of p lies within distance k of i, and |0> elsewhere (a radius of
+    n - 1 reaches every qubit).  Read as n axes of size 2, that image holds
+    one value, 2^(-j/2) for a window of j qubits, on the sub-block
+    ``window`` (a full slice on each window qubit, 0 elsewhere) and 0 off
+    it.  The value is multiplied in the kron chain's order, so its bits are
+    the chain's.  Patterns with the same window share one (window, value)."""
     shifts = range(min(k, n - 1) + 1)
-    bits = np.arange(n - 1, -1, -1)
-    images: dict[int, np.ndarray] = {}
+    full = slice(None)
+    seen: dict[int, tuple] = {}
     for p in map(int, patterns):
         window = 0
         for s in shifts:
             window |= (p << s) | (p >> s)
         window &= (1 << n) - 1
-        if window not in images:
-            images[window] = _product_amplitudes(0.5 * ((window >> bits) & 1))
-        yield p, images[window]
+        if window not in seen:
+            index = tuple(full if window >> i & 1 else 0 for i in reversed(range(n)))
+            seen[window] = index, math.prod([math.sqrt(0.5)] * window.bit_count())
+        yield (p, *seen[window])
 
 
 def fuz_linear(state: StateVector, k: int, renormalize: bool = False) -> StateVector:
@@ -258,17 +264,19 @@ def fuz_linear(state: StateVector, k: int, renormalize: bool = False) -> StateVe
 
     Each basis state maps to the product state with qubit i in
     (|0>+|1>)/sqrt(2) whenever some set bit lies within distance ``k`` of i,
-    and |0> otherwise; a superposition maps to the sum of each nonzero
-    amplitude times its pattern's window image.  Distinct basis states can
-    share an image, so norm is generally not preserved; with ``renormalize``
-    the output is rescaled to unit norm and a complete cancellation raises.
+    and |0> otherwise: one value on a sub-block of the output read as N axes
+    of size 2.  A superposition maps to the sum of those images, so each
+    nonzero amplitude adds amplitude x value into its pattern's sub-block.
+    Distinct basis states can share an image, so norm is generally not
+    preserved; with ``renormalize`` the output is rescaled to unit norm and
+    a complete cancellation raises.
     """
     if k < 0:
         raise ValueError(f"window radius must be >= 0, got {k}")
     n = state.n_qubits
-    out = np.zeros(1 << n, dtype=np.complex128)
-    for p, image in _window_images(np.flatnonzero(state.amplitudes), k, n):
-        out += state.amplitudes[p] * image
+    out = np.zeros((2,) * n, dtype=np.complex128)
+    for p, window, value in _windows(np.flatnonzero(state.amplitudes), k, n):
+        out[window] += state.amplitudes[p] * value
     if renormalize:
         norm = np.linalg.norm(out)
         if norm < NORM_TOL:
@@ -276,7 +284,7 @@ def fuz_linear(state: StateVector, k: int, renormalize: bool = False) -> StateVe
                 "fuzzified state cancelled to norm ~0 and cannot be renormalized"
             )
         out = out / norm
-    return StateVector(n, out)
+    return StateVector(n, out.reshape(-1))
 
 
 def fuz_isometry(
@@ -292,7 +300,9 @@ def fuz_isometry(
     isometry on the zero-padded subspace (its extension off that subspace is
     deliberately left unspecified).  The appended segment becomes the value
     segment.  On the input read as a (before, value, after) array, each value
-    pattern with amplitude writes its window image beside its whole slab.
+    pattern with amplitude writes its whole slab times its window's one
+    value into the window's sub-block of the appended axes; the rest of the
+    output stays 0.
     """
     if k < 0:
         raise ValueError(f"window radius must be >= 0, got {k}")
@@ -300,9 +310,11 @@ def fuz_isometry(
     total = q.state.n_qubits + n
     check_register_cap(total, cap)
     va = _value_axis(q, q.state.amplitudes)
-    out = np.zeros(va.shape + (1 << n,), dtype=np.complex128)
-    for p, image in _window_images(np.flatnonzero(va.any(axis=(0, 2))), k, n):
-        out[:, p] = va[:, p, :, None] * image
+    out = np.zeros(va.shape + (2,) * n, dtype=np.complex128)
+    # a view with the (before, after) axes last, where a slab broadcasts
+    slabs_last = np.moveaxis(out, (0, 2), (-2, -1))
+    for p, window, value in _windows(np.flatnonzero(va.any(axis=(0, 2))), k, n):
+        slabs_last[(p,) + window] = va[:, p] * value
     layout = RegisterLayout(
         q.layout.relabeled("in.") + ((VALUE_SEGMENT, q.state.n_qubits + 1, n),)
     )
@@ -375,16 +387,6 @@ def defuzzify(
         _com_table(n), weights=_value_distribution(q), minlength=n + 1
     )
     return draw_counts(index_probs, rng, trials)
-
-
-def draw_counts(
-    index_probs: np.ndarray, rng: np.random.Generator, trials: int
-) -> dict[int, int]:
-    """Counts of ``trials`` independent center-of-mass readouts drawn from
-    ``index_probs`` over indices 0..N, renormalized first; only the indices
-    drawn at least once appear."""
-    counts = rng.multinomial(trials, index_probs / index_probs.sum())
-    return {int(i): int(c) for i, c in enumerate(counts) if c}
 
 
 def superpose(

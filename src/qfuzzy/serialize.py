@@ -179,8 +179,12 @@ def qfs_from_dict(d: Mapping, cap: int) -> QuantumFuzzySet:
                 f"layout rows must be [name, start, length], got {_brief(row)}"
             )
         name, start, length = row
+        if not isinstance(name, str):
+            raise ValueError(
+                f"layout segment names must be strings, got {_brief(name, json.dumps)}"
+            )
         start = json_int(start, "layout start", 1)
-        segments.append((str(name), start, json_int(length, "layout length", 1)))
+        segments.append((name, start, json_int(length, "layout length", 1)))
     layout = RegisterLayout(tuple(segments))
     if VALUE_SEGMENT not in (name for name, _, _ in segments):
         raise ValueError(f"layout has no {VALUE_SEGMENT!r} segment")

@@ -239,11 +239,19 @@ def sample_distribution(
 ) -> dict[str, int]:
     """Counts of full-register measurement outcomes over ``shots`` trials."""
     check_shots(shots)
-    probs = np.abs(state.amplitudes) ** 2
-    probs = probs / probs.sum()
-    counts = rng.multinomial(shots, probs)
     n = state.n_qubits
-    return {format(i, f"0{n}b"): int(c) for i, c in enumerate(counts) if c}
+    counts = draw_counts(np.abs(state.amplitudes) ** 2, rng, shots)
+    return {format(i, f"0{n}b"): c for i, c in counts.items()}
+
+
+def draw_counts(
+    probs: np.ndarray, rng: np.random.Generator, trials: int
+) -> dict[int, int]:
+    """Counts of ``trials`` independent draws of an index from ``probs``,
+    renormalized first, in one multinomial draw; only the indices drawn at
+    least once appear."""
+    counts = rng.multinomial(trials, probs / probs.sum())
+    return {int(i): int(c) for i, c in enumerate(counts) if c}
 
 
 def one_probabilities(state: StateVector) -> np.ndarray:

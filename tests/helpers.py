@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -10,6 +11,16 @@ from qfuzzy.exprparser import And, Defuz, ExprAst, Fuz, Ident, Not, Or, Superpos
 from qfuzzy.exprparser import Environment, plan
 from qfuzzy.fuzzy import FuzzySet
 from qfuzzy.statevec import StateVector
+
+
+def peak_bytes(fn, *args) -> int:
+    """Peak bytes tracemalloc sees allocated while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:

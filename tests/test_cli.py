@@ -501,6 +501,26 @@ def test_state_commands_reject_non_integer_layout(capsys, monkeypatch, command, 
     assert "layout start must be an integer" in err
 
 
+@pytest.mark.parametrize(
+    "name, quoted", [(None, "null"), (7, "7"), (["x"], "an array of size 1")]
+)
+@pytest.mark.parametrize("command", ["report", "sample"])
+def test_state_commands_reject_non_string_segment_name(
+    capsys, monkeypatch, command, name, quoted
+):
+    state = json.dumps(
+        {
+            "layout": [[name, 1, 1], ["value", 2, 2]],
+            "universe_size": 2,
+            "amplitudes": [[0.5**1.5, 0]] * 8,
+        }
+    )
+    code, out, err = run_cli(capsys, monkeypatch, [command], state)
+    assert code == 2
+    assert out == ""
+    assert f"layout segment names must be strings, got {quoted}" in err
+
+
 @pytest.mark.parametrize("pair", [["1", 0], [0, False]])
 def test_report_rejects_non_number_amplitudes(capsys, monkeypatch, pair):
     state = two_qubit_state(amplitudes=[pair] + [[0.5, 0]] * 3)

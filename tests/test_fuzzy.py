@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import peak_bytes
+
 from qfuzzy.fuzzy import (
     CrispSubset,
     FuzzySet,
     classical_fuzzify,
+    com_from_sums,
     com_index,
+    com_law,
     com_pushforward,
     complement,
     crisp_subset_probability,
@@ -339,3 +343,40 @@ def test_com_pushforward_does_not_enumerate(monkeypatch):
     f = FuzzySet(np.linspace(0.05, 0.95, 20))
     dist = com_pushforward(f)
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def reference_com_law(absent, present):
+    """The (count, index-sum) dynamic program with its table binned in one
+    ``bincount`` over ``np.indices`` grids of every cell, in row-major
+    order."""
+    n = absent.size
+    p = np.zeros((n + 1, n * (n + 1) // 2 + 1))
+    p[0, 0] = 1.0
+    for i, (w0, w1) in enumerate(zip(absent, present), start=1):
+        reach = (i - 1) * i // 2 + 1
+        block = p[:i, :reach]
+        joined = block * w1
+        block *= w0
+        p[1 : i + 1, i : i + reach] += joined
+    count, index_sum = np.indices(p.shape)
+    mass = np.bincount(com_from_sums(count, index_sum).ravel(), weights=p.ravel())
+    return mass[: n + 1]
+
+
+def test_com_law_bytes_equal_grid_binning():
+    rng = np.random.default_rng(281)
+    for n in list(range(1, 41)) + [60, 97]:
+        m = rng.random(n)
+        m[rng.random(n) < 0.2] = 0.0
+        m[rng.random(n) < 0.2] = 1.0
+        # membership weights, then generic (absent, present) pairs
+        for absent, present in ((1.0 - m, m), (rng.random(n), rng.random(n))):
+            got = com_law(absent, present)
+            assert got.tobytes() == reference_com_law(absent, present).tobytes()
+
+
+def test_com_law_peak_stays_near_its_table():
+    n = 100
+    m = np.random.default_rng(283).random(n)
+    table_bytes = 8 * (n + 1) * (n * (n + 1) // 2 + 1)
+    assert peak_bytes(com_law, 1.0 - m, m) <= 3.5 * table_bytes

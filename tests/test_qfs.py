@@ -5,7 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from helpers import random_fuzzy, random_state
+from helpers import peak_bytes, random_fuzzy, random_state
 
 from qfuzzy.errors import ResourceLimitError
 from qfuzzy.fuzzy import CrispSubset, FuzzySet, com_index, com_pushforward
@@ -700,16 +700,40 @@ def reference_fuz_linear(state, k):
     return out
 
 
-def test_fuz_linear_equals_per_amplitude_reference():
-    rng = np.random.default_rng(251)
+def fuz_radii(n):
+    return (*range(n + 2), n + 5, 10**30)
+
+
+def fuz_inputs(rng):
+    """Dense random registers of 1..6 qubits, some with about half or most
+    amplitudes zero and with real, imaginary or signed-zero parts, then the
+    registers ``qand`` builds from encoded and crisp sets."""
+    out = []
     for n in range(1, 7):
         for zero_frac in (0.0, 0.5, 0.9):
             amps = random_state(rng, n).amplitudes
             amps[rng.random(amps.size) < zero_frac] = 0
-            state = StateVector(n, amps)
-            for k in range(n + 2):
-                got = fuz_linear(state, k).amplitudes
-                assert np.array_equal(got, reference_fuz_linear(state, k))
+            real = rng.random(amps.size) < 0.2
+            amps[real] = amps[real].real
+            amps[rng.random(amps.size) < 0.2] *= 1j
+            amps[rng.random(amps.size) < 0.1] = complex(-0.0, -0.0)
+            if not amps.any():
+                amps[0] = 1
+            state = StateVector(n, amps / np.linalg.norm(amps))
+            out.append(QuantumFuzzySet(state, RegisterLayout.single("value", n)))
+    for n in (1, 2):
+        a, b = encode(random_fuzzy(rng, n)), encode(random_fuzzy(rng, n))
+        crisp = encode(FuzzySet(rng.integers(0, 2, n).astype(float)))
+        out += [qand(a, b), qand(crisp, a), qnot(qand(b, crisp))]
+    return out
+
+
+def test_fuz_linear_equals_per_amplitude_reference():
+    rng = np.random.default_rng(251)
+    for q in fuz_inputs(rng):
+        for k in fuz_radii(q.state.n_qubits):
+            got = fuz_linear(q.state, k).amplitudes
+            assert got.tobytes() == reference_fuz_linear(q.state, k).tobytes()
 
 
 def reference_fuz_isometry(q, k):
@@ -730,11 +754,23 @@ def reference_fuz_isometry(q, k):
 
 def test_fuz_isometry_equals_per_amplitude_reference():
     rng = np.random.default_rng(241)
-    for n in (2, 3):
-        for q in oracle_operands(rng, n):
-            for k in range(n + 2):
-                got = fuz_isometry(q, k).state.amplitudes
-                assert np.array_equal(got, reference_fuz_isometry(q, k))
+    for q in oracle_operands(rng, 2) + oracle_operands(rng, 3) + fuz_inputs(rng):
+        for k in fuz_radii(q.universe_size):
+            got = fuz_isometry(q, k).state.amplitudes
+            assert np.array_equal(got, reference_fuz_isometry(q, k))
+
+
+def test_fuz_linear_allocates_nothing_beyond_its_output():
+    # one window per pattern at k=0; the output itself is 16 KiB
+    state = random_state(np.random.default_rng(271), 10)
+    assert peak_bytes(fuz_linear, state, 0) <= 1 << 20
+
+
+def test_fuz_isometry_peak_stays_near_its_output():
+    state = random_state(np.random.default_rng(277), 10)
+    q = QuantumFuzzySet(state, RegisterLayout.single("value", 10))
+    output_bytes = 16 << 20
+    assert peak_bytes(fuz_isometry, q, 0) <= 1.25 * output_bytes
 
 
 def test_u_com_equals_controlled_x_circuit():
