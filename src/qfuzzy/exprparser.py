@@ -195,7 +195,7 @@ class _Parser:
 
     def fail(self, expected: str) -> None:
         tok = self.peek()
-        found = "end of input" if tok.kind == "EOF" else f"'{tok.text}'"
+        found = "end of input" if tok.kind == "EOF" else f"'{_brief(tok.text, str)}'"
         raise ParseError(
             f"syntax error at {tok.line}:{tok.col}: expected {expected}, "
             f"found {found}",
@@ -273,8 +273,17 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "NUMBER" or not _INT_RE.fullmatch(tok.text):
             self.fail("integer")
+        try:
+            value = int(tok.text)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(
+                f"syntax error at {tok.line}:{tok.col}: integer of "
+                f"{len(tok.text)} digits is too long",
+                tok.line,
+                tok.col,
+            ) from None
         self.advance()
-        return int(tok.text)
+        return value
 
 
 def parse(text: str) -> ExprAst:
@@ -335,7 +344,7 @@ class Environment:
             if f.universe_size != self.universe_size:
                 raise ValueError(
                     f"set {_brief(name)} has universe size {f.universe_size}, "
-                    f"expected {self.universe_size}"
+                    f"expected {_brief(self.universe_size, str)}"
                 )
 
 
@@ -348,7 +357,8 @@ def plan(ast: ExprAst, env: Environment) -> int:
     has N * w qubits: w is 1 for an identifier or SUPERPOSE (which encodes
     windows only), 2 for FUZ, w(child) for NOT and w(left) + w(right) + 1
     for AND and OR; a top-level DEFUZ adds N ancillas.  Each register built
-    on the way is part of the root's, so no gate allocates more than this.
+    on the way is part of the root's, so no gate allocates more than this;
+    OR included, as it writes its register once.
     """
     if isinstance(ast, Defuz):
         return env.universe_size * (_width(ast.child, env) + 1)
@@ -398,9 +408,9 @@ def _leaf_width(node: ExprAst, env: Environment) -> int:
         return 1
     if isinstance(node, Fuz):
         if not 1 <= node.index <= env.universe_size:
+            n = _brief(env.universe_size, str)
             raise EvalError(
-                f"FUZ index {node.index} out of range 1..{env.universe_size}",
-                node.pos,
+                f"FUZ index {_brief(node.index, str)} out of range 1..{n}", node.pos
             )
         return 2
     if node.name not in env.bindings:

@@ -173,6 +173,7 @@ def com_law(absent: np.ndarray, present: np.ndarray) -> np.ndarray:
         joined = block * w1
         block *= w0
         p[1 : i + 1, i : i + reach] += joined
+        del joined  # else it lives on beside the next step's
     sums = np.arange(p.shape[1])
     mass = np.zeros(p.shape[1])
     for count, row in enumerate(p):

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .errors import _brief
 from .fuzzy import FuzzySet, CrispSubset, com_from_sums, common_universe
 from .statevec import (
     DEFAULT_QUBIT_CAP,
@@ -44,15 +45,16 @@ class RegisterLayout:
             raise ValueError("layout needs at least one segment")
         names = [name for name, _, _ in self.segments]
         if len(set(names)) != len(names):
-            raise ValueError(f"segment names must be unique, got {names}")
+            shown = _brief(repr(names), str)
+            raise ValueError(f"segment names must be unique, got {shown}")
         expected_start = 1
         for name, start, length in sorted(self.segments, key=lambda s: s[1]):
             if length < 1:
-                raise ValueError(f"segment {name!r} must have length >= 1")
+                raise ValueError(f"segment {_brief(name)} must have length >= 1")
             if start != expected_start:
                 raise ValueError(
                     f"segments must tile the register contiguously; "
-                    f"{name!r} starts at {start}, expected {expected_start}"
+                    f"{_brief(name)} starts at {start}, expected {expected_start}"
                 )
             expected_start = start + length
 
@@ -184,6 +186,32 @@ def qnot(q: QuantumFuzzySet) -> QuantumFuzzySet:
     return QuantumFuzzySet(StateVector(q.state.n_qubits, amps), q.layout)
 
 
+def _and_scatter(
+    a: QuantumFuzzySet, b: QuantumFuzzySet, cap: int, flip: int
+) -> QuantumFuzzySet:
+    """:func:`qand` of ``a`` and ``b`` followed by X on the output qubits
+    set in ``flip``: the kron of the inputs, read as (before, value, after)
+    arrays, is scattered in one assignment along the output axis onto the
+    pattern (pa & pb) ^ flip for value patterns pa, pb."""
+    n = common_universe(a, b)
+    a_total, b_total = a.state.n_qubits, b.state.n_qubits
+    total = a_total + b_total + n
+    check_register_cap(total, cap)
+    va = _value_axis(a, a.state.amplitudes)
+    vb = _value_axis(b, b.state.amplitudes)
+    kron = np.multiply.outer(va, vb)
+    pa, pb = np.arange(1 << n)[:, None], np.arange(1 << n)
+    amps = np.zeros(kron.shape + (1 << n,), dtype=np.complex128)
+    out = ((pa & pb) ^ flip)[None, :, None, None, :, None, None]
+    np.put_along_axis(amps, out, kron[..., None], axis=6)
+    layout = RegisterLayout(
+        a.layout.relabeled("a.")
+        + b.layout.relabeled("b.", offset=a_total)
+        + ((VALUE_SEGMENT, a_total + b_total + 1, n),)
+    )
+    return QuantumFuzzySet(StateVector(total, amps.reshape(-1)), layout)
+
+
 def qand(
     a: QuantumFuzzySet,
     b: QuantumFuzzySet,
@@ -194,31 +222,12 @@ def qand(
     In the paper the register a (x) b (x) |0..0> gets, for each element i, a
     Toffoli controlled by the value qubits of ``a`` and ``b`` targeting a
     fresh output qubit; as the output starts at 0, together they write
-    out = pa & pb for value patterns pa, pb.  So the kron of the inputs read
-    as (before, value, after) arrays is scattered in one assignment along
-    the output axis.  The inputs are kept; the output segment becomes the
-    value segment.  For encoded inputs the output marginal of element i is
-    f(i) * g(i).
+    out = pa & pb for value patterns pa, pb.  So the kron of the inputs is
+    scattered onto that pattern (:func:`_and_scatter` with nothing to flip).
+    The inputs are kept; the output segment becomes the value segment.  For
+    encoded inputs the output marginal of element i is f(i) * g(i).
     """
-    n = common_universe(a, b)
-    a_total = a.state.n_qubits
-    b_total = b.state.n_qubits
-    total = a_total + b_total + n
-    check_register_cap(total, cap)
-    va = _value_axis(a, a.state.amplitudes)
-    vb = _value_axis(b, b.state.amplitudes)
-    kron = np.multiply.outer(va, vb)
-    pa, pb = np.arange(1 << n)[:, None], np.arange(1 << n)
-    amps = np.zeros(kron.shape + (1 << n,), dtype=np.complex128)
-    out = (pa & pb)[None, :, None, None, :, None, None]
-    np.put_along_axis(amps, out, kron[..., None], axis=6)
-    state = StateVector(total, amps.reshape(-1))
-    layout = RegisterLayout(
-        a.layout.relabeled("a.")
-        + b.layout.relabeled("b.", offset=a_total)
-        + ((VALUE_SEGMENT, a_total + b_total + 1, n),)
-    )
-    return QuantumFuzzySet(state, layout)
+    return _and_scatter(a, b, cap, 0)
 
 
 def qor(
@@ -228,12 +237,15 @@ def qor(
 ) -> QuantumFuzzySet:
     """Elementwise fuzzy OR as NOT(NOT a AND NOT b).
 
-    X on the value qubits of both inputs, the AND construction, then X on
-    the output qubits; the output marginal is f(i) + g(i) - f(i)g(i) for
-    encoded inputs.
+    In the paper: X on the value qubits of both inputs, the AND
+    construction, then X on the output qubits.  The input X's are
+    :func:`qnot`; the AND and the output X's are one scatter onto the
+    flipped pattern (:func:`_and_scatter` with every output bit flipped),
+    so the register is written once, with the inputs complemented and the
+    output pa | pb for the original patterns.  The output marginal is
+    f(i) + g(i) - f(i)g(i) for encoded inputs.
     """
-    g = qand(qnot(a), qnot(b), cap)
-    return qnot(g)
+    return _and_scatter(qnot(a), qnot(b), cap, (1 << a.universe_size) - 1)
 
 
 def _windows(patterns: Iterable[int], k: int, n: int) -> Iterator[tuple]:

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, _brief
 
 #: Largest register allocated by default (2**24 amplitudes).
 DEFAULT_QUBIT_CAP = 24
@@ -55,7 +55,10 @@ class StateVector:
                 f"expected {1 << self.n_qubits} amplitudes for "
                 f"{self.n_qubits} qubits, got shape {amps.shape}"
             )
-        if not np.isfinite(amps).all():
+        # a NaN or +-inf real or imaginary part shows in their min or max;
+        # the (real, imag) rows are a view, so no per-amplitude array is made
+        parts = amps[:, None].view(np.float64)
+        if not np.isfinite([parts.min(), parts.max()]).all():
             raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -71,7 +74,8 @@ def check_register_cap(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> None:
     """Raise :class:`ResourceLimitError` if a register would exceed ``cap``."""
     if n_qubits > cap:
         raise ResourceLimitError(
-            f"register of {n_qubits} qubits exceeds the cap of {cap} qubits"
+            f"register of {_brief(n_qubits, str)} qubits exceeds the cap of "
+            f"{_brief(cap, str)} qubits"
         )
 
 

@@ -531,6 +531,8 @@ def test_report_rejects_non_number_amplitudes(capsys, monkeypatch, pair):
 
 
 LONG_ARRAY = list(range(20000))
+LONG_NAME = "N" * 5000
+HUGE_UNIVERSE = {"universe_size": int("1" * 4001), "mode": "quantum"}
 
 
 @pytest.mark.parametrize(
@@ -543,10 +545,18 @@ LONG_ARRAY = list(range(20000))
         ("eval", eval_spec().replace('"A AND B"', "[" * 900 + "]" * 900), 2),
         ("eval", eval_spec(expression="A AND " + "C" * 20000), 4),
         ("report", two_qubit_state([LONG_ARRAY]), 2),
+        ("eval", eval_spec(expression="A " + "B" * 5000), 4),
+        ("eval", eval_spec(expression="FUZ(" + "1" * 3000 + ", 1)"), 4),
+        ("report", two_qubit_state([[LONG_NAME, 5, 1], ["value", 1, 2]]), 2),
+        ("report", two_qubit_state([[LONG_NAME, 1, 1], [LONG_NAME, 2, 1]]), 2),
+        ("eval", eval_spec(**HUGE_UNIVERSE, sets={}, expression="FUZ(1, 0)"), 3),
+        ("eval", eval_spec(expression="FUZ(1, " + "1" * 5000 + ")"), 4),
+        ("eval", eval_spec(**HUGE_UNIVERSE), 2),
     ],
     ids=[
         "seed", "universe_size", "mode", "set_name", "expression", "identifier",
-        "layout_row",
+        "layout_row", "token", "fuz_index", "segment_place", "segment_twice",
+        "planned_qubits", "integer_literal", "set_size",
     ],
 )
 def test_rejected_value_is_not_echoed_whole(

@@ -100,6 +100,12 @@ def test_parse_error_carries_position():
     assert (err.value.line, err.value.col) == (2, 1)
 
 
+def test_integer_too_long_to_convert_is_a_parse_error():
+    with pytest.raises(ParseError, match="integer of 5000 digits") as err:
+        parse("FUZ(1,\n " + "7" * 5000 + ")")
+    assert (err.value.line, err.value.col) == (2, 2)
+
+
 def test_round_trip_random_asts():
     rng = np.random.default_rng(107)
     for _ in range(300):

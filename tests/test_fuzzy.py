@@ -380,3 +380,10 @@ def test_com_law_peak_stays_near_its_table():
     m = np.random.default_rng(283).random(n)
     table_bytes = 8 * (n + 1) * (n * (n + 1) // 2 + 1)
     assert peak_bytes(com_law, 1.0 - m, m) <= 3.5 * table_bytes
+
+
+def test_com_law_keeps_one_step_temporary():
+    n = 100
+    m = np.random.default_rng(283).random(n)
+    table_bytes = 8 * (n + 1) * (n * (n + 1) // 2 + 1)
+    assert peak_bytes(com_law, 1.0 - m, m) <= 2.2 * table_bytes

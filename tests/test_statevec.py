@@ -4,7 +4,13 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from helpers import random_product_state, random_qubit, random_state, random_unitary
+from helpers import (
+    peak_bytes,
+    random_product_state,
+    random_qubit,
+    random_state,
+    random_unitary,
+)
 
 from qfuzzy.analysis import entanglement_report
 from qfuzzy.errors import ResourceLimitError
@@ -59,6 +65,23 @@ def test_state_vector_validation():
         StateVector(2, np.zeros(3))
     with pytest.raises(ValueError, match="finite"):
         StateVector(1, np.array([np.nan, 0]))
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE + [complex(0, x) for x in NON_FINITE])
+@pytest.mark.parametrize("step", [1, 3])
+def test_state_vector_rejects_non_finite_part(bad, step):
+    amps = np.full(8 * step, 0.25 + 0.25j)
+    amps[5 * step] = bad
+    with pytest.raises(ValueError, match="finite"):
+        StateVector(3, amps[::step])
+
+
+def test_state_vector_check_allocates_no_array():
+    amps = random_state(np.random.default_rng(5), 16).amplitudes
+    assert peak_bytes(StateVector, 16, amps) < 4096
 
 
 def test_basis_state_bit_order():
