@@ -8,7 +8,7 @@ from typing import Mapping
 import numpy as np
 
 from .fuzzy import FuzzySet, common_universe, oracle_distribution
-from .qfs import QuantumFuzzySet, encode
+from .qfs import ColumnSet, QuantumFuzzySet, encode
 from .statevec import StateVector, _qubit_split, check_shots, sample_distribution
 
 #: Phases below this magnitude are reported as exactly 0.
@@ -79,21 +79,40 @@ def entanglement_report(q: QuantumFuzzySet | StateVector) -> EntanglementReport:
     the fuzzy set and per-qubit phases recovered by rotating each factor back
     to the zero-phase meridian."""
     state = q.state if isinstance(q, QuantumFuzzySet) else q
-    ranks, factors = _qubit_split(state)
-    if factors is None:
+    ranks, tops = _qubit_split(state.amplitudes[None])
+    return _report(ranks[0], None if tops is None else tops[0])
+
+
+def column_report(c: ColumnSet) -> EntanglementReport:
+    """:func:`entanglement_report` of the register ``c`` stands for, from
+    one split batched over its columns.  A qubit's partner in every other
+    column is a separate factor of unit norm, so its Schmidt rank and
+    factor against the rest of the register are those against the rest of
+    its column; qubit s of element j is reported at (s - 1) * N + j."""
+    ranks, tops = _qubit_split(c.columns)
+    if tops is not None:
+        tops = tops.swapaxes(0, 1).reshape(-1, 2)
+    return _report(ranks.T.reshape(-1), tops)
+
+
+def _report(ranks: np.ndarray, tops: np.ndarray | None) -> EntanglementReport:
+    """The report on qubits with these ranks and, for a product, these
+    phase-fixed factors a|0> + b|1>, one row each."""
+    ranks = tuple(ranks.tolist())
+    if tops is None:
         return EntanglementReport(ranks, False, None, None, None)
     memberships = []
     phases = []
-    for factor in factors:
-        a, b = factor.amplitudes
+    for a, b in tops:
         memberships.append(min(1.0, max(0.0, float(abs(b) ** 2))))
         if abs(a) < PHASE_SNAP_TOL or abs(b) < PHASE_SNAP_TOL:
             phi = 0.0  # phase is undefined on a pole; report the convention
         else:
             phi = float(np.angle(b) - np.angle(a))
         phases.append(0.0 if abs(phi) < PHASE_SNAP_TOL else phi)
+    factors = tuple(StateVector(1, f) for f in tops)
     return EntanglementReport(
-        ranks, True, FuzzySet(memberships), tuple(phases), tuple(factors)
+        ranks, True, FuzzySet(memberships), tuple(phases), factors
     )
 
 

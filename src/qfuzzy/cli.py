@@ -14,11 +14,27 @@ import sys
 import numpy as np
 
 from . import serialize
-from .analysis import entanglement_report
+from .analysis import EntanglementReport, column_report, entanglement_report
 from .errors import ResourceLimitError, _brief
-from .exprparser import Environment, EvalError, ParseError, evaluate, parse
+from .exprparser import (
+    Environment,
+    EvalError,
+    ParseError,
+    eval_columns,
+    evaluate,
+    is_columnar,
+    parse,
+)
 from .fuzzy import FuzzySet
-from .qfs import QuantumFuzzySet, encode, value_marginals
+from .qfs import (
+    VALUE_SEGMENT,
+    ColumnSet,
+    QuantumFuzzySet,
+    RegisterLayout,
+    column_marginals,
+    encode,
+    value_marginals,
+)
 from .statevec import DEFAULT_QUBIT_CAP, bloch_point, sample_distribution
 
 EXIT_OK = 0
@@ -87,10 +103,27 @@ def _cmd_encode(args: argparse.Namespace) -> str:
     return serialize.dumps(serialize.qfs_to_dict(q))
 
 
+def _quantum_payload(
+    layout: RegisterLayout, report: EntanglementReport, marginals: np.ndarray
+) -> dict:
+    return {
+        "mode": "quantum",
+        "universe_size": layout.segment(VALUE_SEGMENT)[1],
+        "total_qubits": layout.total_qubits,
+        "layout": [list(seg) for seg in layout.segments],
+        "value_marginals": [float(p) for p in marginals],
+        "entanglement": serialize.report_to_dict(report),
+    }
+
+
 def _cmd_eval(args: argparse.Namespace) -> str:
     expression, env = _read_spec(_load_json(_read_input(args.input)), args)
     try:
-        result = evaluate(parse(expression), env)
+        ast = parse(expression)
+        if env.mode == "quantum" and is_columnar(ast):
+            result = eval_columns(ast, env)
+        else:
+            result = evaluate(ast, env)
     except RecursionError:
         raise EvalError("expression nested too deeply") from None
     if isinstance(result, FuzzySet):
@@ -99,16 +132,14 @@ def _cmd_eval(args: argparse.Namespace) -> str:
             "universe_size": result.universe_size,
             "memberships": [float(m) for m in result.memberships],
         }
+    elif isinstance(result, ColumnSet):
+        payload = _quantum_payload(
+            result.dense_layout(), column_report(result), column_marginals(result)
+        )
     elif isinstance(result, QuantumFuzzySet):
-        report = entanglement_report(result)
-        payload = {
-            "mode": "quantum",
-            "universe_size": result.universe_size,
-            "total_qubits": result.state.n_qubits,
-            "layout": [list(seg) for seg in result.layout.segments],
-            "value_marginals": [float(p) for p in value_marginals(result)],
-            "entanglement": serialize.report_to_dict(report),
-        }
+        payload = _quantum_payload(
+            result.layout, entanglement_report(result), value_marginals(result)
+        )
     elif env.mode == "classical":
         payload = {
             "mode": "classical",
@@ -142,9 +173,16 @@ def _cmd_sample(args: argparse.Namespace) -> str:
 
 
 def _nonneg_int(text: str) -> int:
-    value = int(text)
+    """A flag's integer value; a rejected one is quoted as errors._brief
+    cuts it, not whole, as argparse would."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer, got {_brief(text)}"
+        ) from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {_brief(text)}")
     return value
 
 

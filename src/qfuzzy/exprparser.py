@@ -36,9 +36,15 @@ from .fuzzy import (
     union,
 )
 from .qfs import (
+    ColumnSet,
     QuantumFuzzySet,
+    column_and,
+    column_not,
+    column_or,
     defuzzify,
     encode,
+    encode_columns,
+    fuz_columns,
     fuz_isometry,
     qand,
     qnot,
@@ -452,6 +458,10 @@ def eval_quantum(ast: ExprAst, env: Environment) -> QuantumFuzzySet | dict[int, 
     :func:`defuzzify` draws them from the register.  A superposed state is
     not a product across elements, so a DEFUZ over SUPERPOSE reads the
     register.
+
+    Without DEFUZ this returns the register itself, the dense oracle.  For a
+    SUPERPOSE-free expression that register is the product of the columns
+    :func:`eval_columns` returns, which the CLI reports from instead.
     """
     check_register_cap(plan(ast, env), env.qubit_cap)
     if not isinstance(ast, Defuz):
@@ -461,6 +471,38 @@ def eval_quantum(ast: ExprAst, env: Environment) -> QuantumFuzzySet | dict[int, 
         state = _quantum_state(ast.child, env)
         return defuzzify(state, rng, env.trials, cap=env.qubit_cap)
     return draw_counts(com_law(*_born_weights(ast.child, env)), rng, env.trials)
+
+
+def is_columnar(ast: ExprAst) -> bool:
+    """Whether :func:`eval_columns` takes ``ast``: it has no top-level DEFUZ
+    and no SUPERPOSE."""
+    return not isinstance(ast, Defuz) and not _contains_superpose(ast)
+
+
+def eval_columns(ast: ExprAst, env: Environment) -> ColumnSet:
+    """The register :func:`eval_quantum` builds for a SUPERPOSE-free ``ast``
+    without top-level DEFUZ, as one w-qubit column per universe element
+    (:class:`ColumnSet`), with no 2^(N*w)-amplitude register.  A leaf's
+    register is a product over the elements, and each gate acts within one
+    element's qubits, so every node's register is the product of its N
+    columns.  An identifier gives the columns (sqrt(1-m), sqrt(m)) and a FUZ
+    leaf its seed and window qubits (:func:`fuz_columns`); NOT, AND and OR
+    run :func:`qnot`'s reversal and the :func:`qand` and :func:`qor`
+    scatter on all columns at once.  The planned register is checked
+    against ``env.qubit_cap`` first, with eval_quantum's refusals; the
+    columns, N * 2^w amplitudes, are never larger than that register."""
+    check_register_cap(plan(ast, env), env.qubit_cap)
+    if not is_columnar(ast):
+        raise ValueError("columns need an expression without DEFUZ or SUPERPOSE")
+    return _fold(
+        ast, lambda leaf: _leaf_columns(leaf, env), column_not, column_and, column_or
+    )
+
+
+def _leaf_columns(node: Ident | Fuz, env: Environment) -> ColumnSet:
+    if isinstance(node, Fuz):
+        return fuz_columns(node.index, _leaf(node, env))
+    return encode_columns(_leaf(node, env))
 
 
 def _quantum_state(node: ExprAst, env: Environment) -> QuantumFuzzySet:

@@ -115,6 +115,39 @@ class QuantumFuzzySet:
         return self.layout.qubits(VALUE_SEGMENT)
 
 
+class ColumnSet:
+    """A register that is a product over the universe's N elements, kept as
+    one column per element instead of as 2^(N*w) amplitudes.
+
+    Row j of ``columns``, an (N, 2^w) array, holds the amplitudes of element
+    j+1's w qubits; ``layout`` names those qubits, one per segment, as a
+    register over a universe of one.  The register stands for the
+    N*w-qubit one laid out by :meth:`dense_layout`, in which qubit s of
+    element j is qubit (s - 1) * N + j.  Every gate of a SUPERPOSE-free
+    expression acts within one element's qubits, so it acts on each column
+    alone.
+    """
+
+    __slots__ = ("columns", "layout")
+
+    def __init__(self, columns: np.ndarray, layout: RegisterLayout):
+        self.columns = columns
+        self.layout = layout
+
+    @property
+    def universe_size(self) -> int:
+        return len(self.columns)
+
+    def dense_layout(self) -> RegisterLayout:
+        """The layout of the register the columns stand for: each segment N
+        times as long."""
+        n = self.universe_size
+        return RegisterLayout(
+            tuple((name, (start - 1) * n + 1, length * n)
+                  for name, start, length in self.layout.segments)
+        )
+
+
 def rotation_gate(p: float) -> np.ndarray:
     """Real rotation taking |0> to sqrt(1-p)|0> + sqrt(p)|1>."""
     if not 0.0 <= p <= 1.0:
@@ -126,28 +159,39 @@ def rotation_gate(p: float) -> np.ndarray:
 
 def _product_amplitudes(memberships: np.ndarray) -> np.ndarray:
     """Amplitudes of the product state with qubit i in
-    sqrt(1-m_i)|0> + sqrt(m_i)|1>: the kron of the per-qubit columns, built
-    as a chain of outer products (the same products as ``np.kron``, without
-    its per-call overhead)."""
+    sqrt(1-m_i)|0> + sqrt(m_i)|1>, for the memberships along the last axis
+    of ``memberships`` (one register per leading index): the kron of the
+    per-qubit columns, built as a chain of outer products (the same products
+    as ``np.kron``, without its per-call overhead)."""
     m = np.asarray(memberships, dtype=np.float64)
-    out = np.ones(1)
-    for column in np.stack([np.sqrt(1.0 - m), np.sqrt(m)], axis=1):
-        out = (out[:, None] * column).ravel()
+    lead = m.shape[:-1]
+    out = np.ones(lead + (1,))
+    for column in np.stack([np.sqrt(1.0 - m), np.sqrt(m)], axis=-1).swapaxes(0, -2):
+        out = (out[..., :, None] * column[..., None, :]).reshape(lead + (-1,))
     return out
 
 
-def _value_axis(q: QuantumFuzzySet, values: np.ndarray) -> np.ndarray:
-    """``values``, one per basis index, as a (before, value, after) array:
-    axis 1 runs over the 2^N bit patterns of the value segment, axes 0 and 2
-    over the qubits before and after it."""
-    start, n = q.layout.segment(VALUE_SEGMENT)
-    return values.reshape(1 << (start - 1), 1 << n, -1)
+def _value_axis(layout: RegisterLayout, values: np.ndarray) -> np.ndarray:
+    """``values``, one per basis index of a register with ``layout`` along
+    the last axis, with that axis split as (before, value, after): the
+    middle one runs over the 2^N bit patterns of the value segment, the
+    others over the qubits before and after it.  Leading axes, one per
+    register of a batch, are kept."""
+    start, n = layout.segment(VALUE_SEGMENT)
+    return values.reshape(values.shape[:-1] + (1 << (start - 1), 1 << n, -1))
+
+
+def _not_view(layout: RegisterLayout, amps: np.ndarray) -> np.ndarray:
+    """X on every value qubit of each register in ``amps``, as a view: X on
+    all N value qubits maps value pattern p to 2^N - 1 - p, so it reverses
+    the value axis of :func:`_value_axis`."""
+    return _value_axis(layout, amps)[..., ::-1, :]
 
 
 def _value_distribution(q: QuantumFuzzySet) -> np.ndarray:
     """Born probabilities of the 2^N value-segment bit patterns, summed over
     the qubits outside the segment."""
-    return _value_axis(q, np.abs(q.state.amplitudes) ** 2).sum(axis=(0, 2))
+    return _value_axis(q.layout, np.abs(q.state.amplitudes) ** 2).sum(axis=(0, 2))
 
 
 def encode(f: FuzzySet, cap: int = DEFAULT_QUBIT_CAP) -> QuantumFuzzySet:
@@ -179,37 +223,57 @@ def qnot(q: QuantumFuzzySet) -> QuantumFuzzySet:
 
     X on all N value qubits maps value bit pattern p to 2^N - 1 - p, so on
     the register read as a (before, value, after) array it reverses the
-    value axis.  The reversed view is copied into a fresh array: a
-    negative-stride view would alias the input.
+    value axis (:func:`_not_view`).  The reversed view is copied into a
+    fresh array: a negative-stride view would alias the input.
     """
-    amps = _value_axis(q, q.state.amplitudes)[:, ::-1].copy().reshape(-1)
+    amps = _not_view(q.layout, q.state.amplitudes).copy().reshape(-1)
     return QuantumFuzzySet(StateVector(q.state.n_qubits, amps), q.layout)
 
 
 def _and_scatter(
-    a: QuantumFuzzySet, b: QuantumFuzzySet, cap: int, flip: int
-) -> QuantumFuzzySet:
-    """:func:`qand` of ``a`` and ``b`` followed by X on the output qubits
-    set in ``flip``: the kron of the inputs, read as (before, value, after)
-    arrays, is scattered in one assignment along the output axis onto the
-    pattern (pa & pb) ^ flip for value patterns pa, pb."""
-    n = common_universe(a, b)
-    a_total, b_total = a.state.n_qubits, b.state.n_qubits
-    total = a_total + b_total + n
-    check_register_cap(total, cap)
-    va = _value_axis(a, a.state.amplitudes)
-    vb = _value_axis(b, b.state.amplitudes)
-    kron = np.multiply.outer(va, vb)
+    la: RegisterLayout,
+    a: np.ndarray,
+    lb: RegisterLayout,
+    b: np.ndarray,
+    disjoin: bool,
+) -> tuple[np.ndarray, RegisterLayout]:
+    """AND, or with ``disjoin`` OR, of the registers ``a`` and ``b`` laid
+    out by ``la`` and ``lb``, pairwise along their leading (batch) axes.
+    The kron of the inputs, read as (before, value, after) arrays, is
+    scattered in one assignment along the output axis onto the pattern
+    pa & pb for value patterns pa, pb.  OR is NOT(NOT a AND NOT b): the
+    inputs are read through :func:`_not_view` and the pattern is flipped in
+    every bit.  Returns the output amplitudes, batched as the inputs, and
+    the output layout: the inputs' segments renamed ``a.`` and ``b.``, then
+    the output as the value segment."""
+    n = la.segment(VALUE_SEGMENT)[1]
+    a_total, b_total = la.total_qubits, lb.total_qubits
+    view = _not_view if disjoin else _value_axis
+    va, vb = view(la, a), view(lb, b)
+    kron = va[..., None, None, None] * vb[..., None, None, None, :, :, :]
     pa, pb = np.arange(1 << n)[:, None], np.arange(1 << n)
+    out = (pa & pb) ^ ((1 << n) - 1 if disjoin else 0)
+    out = out.reshape((1,) * (va.ndim - 3) + (1, 1 << n, 1, 1, 1 << n, 1, 1))
     amps = np.zeros(kron.shape + (1 << n,), dtype=np.complex128)
-    out = ((pa & pb) ^ flip)[None, :, None, None, :, None, None]
-    np.put_along_axis(amps, out, kron[..., None], axis=6)
+    np.put_along_axis(amps, out, kron[..., None], axis=-1)
     layout = RegisterLayout(
-        a.layout.relabeled("a.")
-        + b.layout.relabeled("b.", offset=a_total)
+        la.relabeled("a.")
+        + lb.relabeled("b.", offset=a_total)
         + ((VALUE_SEGMENT, a_total + b_total + 1, n),)
     )
-    return QuantumFuzzySet(StateVector(total, amps.reshape(-1)), layout)
+    return amps.reshape(a.shape[:-1] + (-1,)), layout
+
+
+def _connective(
+    a: QuantumFuzzySet, b: QuantumFuzzySet, cap: int, disjoin: bool
+) -> QuantumFuzzySet:
+    """:func:`_and_scatter` on two registers, the cap checked first."""
+    n = common_universe(a, b)
+    check_register_cap(a.state.n_qubits + b.state.n_qubits + n, cap)
+    amps, layout = _and_scatter(
+        a.layout, a.state.amplitudes, b.layout, b.state.amplitudes, disjoin
+    )
+    return QuantumFuzzySet(StateVector(layout.total_qubits, amps), layout)
 
 
 def qand(
@@ -223,11 +287,11 @@ def qand(
     Toffoli controlled by the value qubits of ``a`` and ``b`` targeting a
     fresh output qubit; as the output starts at 0, together they write
     out = pa & pb for value patterns pa, pb.  So the kron of the inputs is
-    scattered onto that pattern (:func:`_and_scatter` with nothing to flip).
-    The inputs are kept; the output segment becomes the value segment.  For
-    encoded inputs the output marginal of element i is f(i) * g(i).
+    scattered onto that pattern (:func:`_and_scatter`).  The inputs are
+    kept; the output segment becomes the value segment.  For encoded inputs
+    the output marginal of element i is f(i) * g(i).
     """
-    return _and_scatter(a, b, cap, 0)
+    return _connective(a, b, cap, False)
 
 
 def qor(
@@ -238,14 +302,14 @@ def qor(
     """Elementwise fuzzy OR as NOT(NOT a AND NOT b).
 
     In the paper: X on the value qubits of both inputs, the AND
-    construction, then X on the output qubits.  The input X's are
-    :func:`qnot`; the AND and the output X's are one scatter onto the
-    flipped pattern (:func:`_and_scatter` with every output bit flipped),
-    so the register is written once, with the inputs complemented and the
-    output pa | pb for the original patterns.  The output marginal is
-    f(i) + g(i) - f(i)g(i) for encoded inputs.
+    construction, then X on the output qubits.  The input X's are read as
+    reversed views, and the AND and the output X's are one scatter onto the
+    flipped pattern (:func:`_and_scatter` with ``disjoin``), so the register
+    is written once, with the inputs complemented and the output pa | pb
+    for the original patterns.  The output marginal is f(i) + g(i) - f(i)g(i)
+    for encoded inputs.
     """
-    return _and_scatter(qnot(a), qnot(b), cap, (1 << a.universe_size) - 1)
+    return _connective(a, b, cap, True)
 
 
 def _windows(patterns: Iterable[int], k: int, n: int) -> Iterator[tuple]:
@@ -321,7 +385,7 @@ def fuz_isometry(
     n = q.universe_size
     total = q.state.n_qubits + n
     check_register_cap(total, cap)
-    va = _value_axis(q, q.state.amplitudes)
+    va = _value_axis(q.layout, q.state.amplitudes)
     out = np.zeros(va.shape + (2,) * n, dtype=np.complex128)
     # a view with the (before, after) axes last, where a slab broadcasts
     slabs_last = np.moveaxis(out, (0, 2), (-2, -1))
@@ -446,3 +510,50 @@ def value_marginals(q: QuantumFuzzySet) -> np.ndarray:
     return np.array(
         [seg.reshape(1 << i, 2, -1)[:, 1, :].sum() for i in range(q.universe_size)]
     )
+
+
+def encode_columns(f: FuzzySet) -> ColumnSet:
+    """:func:`encode` as columns: element i's column is its one qubit
+    sqrt(1-f(i))|0> + sqrt(f(i))|1>."""
+    amps = _product_amplitudes(f.memberships[:, None])
+    return ColumnSet(amps, RegisterLayout.single(VALUE_SEGMENT, 1))
+
+
+def fuz_columns(index: int, window: FuzzySet) -> ColumnSet:
+    """:func:`fuz_isometry` of the encoded one-hot set at ``index`` as
+    columns, for the square ``window`` of :func:`classical_fuzzify` (1/2
+    inside, 0 outside).  The seed is a basis state, so its image is a
+    product: element i's column is its seed qubit, |1> at ``index`` and |0>
+    elsewhere, then its value qubit, (|0>+|1>)/sqrt(2) inside the window
+    and |0> outside, which is the window encoded."""
+    seed = np.zeros(window.universe_size)
+    seed[index - 1] = 1.0
+    amps = _product_amplitudes(np.stack((seed, window.memberships), axis=1))
+    layout = RegisterLayout(
+        RegisterLayout.single(VALUE_SEGMENT, 1).relabeled("in.")
+        + ((VALUE_SEGMENT, 2, 1),)
+    )
+    return ColumnSet(amps, layout)
+
+
+def column_not(c: ColumnSet) -> ColumnSet:
+    """:func:`qnot` on every column."""
+    amps = _not_view(c.layout, c.columns).copy().reshape(c.columns.shape)
+    return ColumnSet(amps, c.layout)
+
+
+def column_and(a: ColumnSet, b: ColumnSet) -> ColumnSet:
+    """:func:`qand` column by column: element i's Toffoli reads and writes
+    only element i's qubits."""
+    return ColumnSet(*_and_scatter(a.layout, a.columns, b.layout, b.columns, False))
+
+
+def column_or(a: ColumnSet, b: ColumnSet) -> ColumnSet:
+    """:func:`qor` column by column."""
+    return ColumnSet(*_and_scatter(a.layout, a.columns, b.layout, b.columns, True))
+
+
+def column_marginals(c: ColumnSet) -> np.ndarray:
+    """:func:`value_marginals` of the register ``c`` stands for: each
+    element's probability of measuring 1 on its value qubit."""
+    return _value_axis(c.layout, np.abs(c.columns) ** 2).sum(axis=(1, 3))[:, 1]

@@ -1,10 +1,16 @@
 import json
 import math
+import re
 import warnings
 
+import numpy as np
 import pytest
 
+from helpers import peak_bytes
+
 from qfuzzy.cli import main
+from qfuzzy.exprparser import Environment, eval_classical, parse
+from qfuzzy.fuzzy import FuzzySet
 
 
 def run_cli(capsys, monkeypatch, argv, stdin=""):
@@ -344,7 +350,9 @@ def test_eval_out_of_memory_is_a_resource_error(capsys, monkeypatch, message, sh
     def exhausted(*args, **kwargs):
         raise MemoryError(message)
 
+    # the register's AND and, for this SUPERPOSE-free expression, the columns'
     monkeypatch.setattr(qfuzzy.exprparser, "qand", exhausted)
+    monkeypatch.setattr(qfuzzy.exprparser, "column_and", exhausted)
     code, out, err = run_cli(capsys, monkeypatch, ["eval"], eval_spec(mode="quantum"))
     assert (code, out) == (3, "")
     assert err == f"error: out of memory: {shown}\n"
@@ -568,6 +576,20 @@ def test_rejected_value_is_not_echoed_whole(
     assert err.count("\n") == 1 and len(err.encode()) < 200
 
 
+@pytest.mark.parametrize("flag", ["--qubit-cap", "--seed", "--trials"])
+@pytest.mark.parametrize(
+    "value", ["9" * 5000, "-" + "9" * 3000], ids=["long", "long_negative"]
+)
+def test_flag_value_is_not_echoed_whole(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.encode()) < 400
+    assert not re.search(r"\d{40}", captured.err)
+
+
 # --- sample --------------------------------------------------------------------
 
 
@@ -693,3 +715,51 @@ def test_report_accepts_hand_rounded_state(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["is_product"] is True
     assert payload["canonical_fuzzy_set"]["memberships"] == pytest.approx([0.5, 0.5])
+
+
+# --- quantum eval as columns ------------------------------------------------------
+
+
+def test_superpose_free_eval_peak_memory(tmp_path, capsys):
+    """NOT A at N=20 reports from 20 two-amplitude columns; a register would
+    be 2^20 amplitudes, 16 MiB."""
+    spec = eval_spec(
+        universe_size=20,
+        sets={"A": [0.05 * i for i in range(20)]},
+        expression="NOT A",
+        mode="quantum",
+    )
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    peak = peak_bytes(main, ["eval", "--input", str(path)])
+    out = capsys.readouterr().out
+    assert json.loads(out)["total_qubits"] == 20
+    assert peak < 2 * 2**20
+
+
+def test_superpose_free_eval_past_any_register(tmp_path, capsys):
+    """768 logical qubits: a register would hold 2^768 amplitudes."""
+    rng = np.random.default_rng(17)
+    n = 64
+    sets = {name: rng.random(n) for name in "ABCDE"}
+    for m in sets.values():
+        m[rng.random(n) < 0.3] = 1.0
+    expression = "((A AND B) OR (C AND NOT D)) AND (FUZ(3, 2) OR E)"
+    spec = eval_spec(
+        universe_size=n,
+        sets={k: m.tolist() for k, m in sets.items()},
+        expression=expression,
+        mode="quantum",
+    )
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    code = main(["eval", "--input", str(path), "--qubit-cap", "1024"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["total_qubits"] == 768
+    assert len(payload["entanglement"]["per_qubit_schmidt_ranks"]) == 768
+    env = Environment(n, {k: FuzzySet(m) for k, m in sets.items()})
+    classical = eval_classical(parse(expression), env).memberships
+    np.testing.assert_allclose(
+        payload["value_marginals"], classical, rtol=0, atol=1e-12
+    )

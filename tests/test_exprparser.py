@@ -7,8 +7,8 @@ import pytest
 
 from helpers import random_ast, random_fuzzy, random_marginal_expr
 
-from qfuzzy import exprparser
-from qfuzzy.analysis import total_variation
+from qfuzzy import cli, exprparser, qfs
+from qfuzzy.analysis import column_report, entanglement_report, total_variation
 from qfuzzy.cli import main
 from qfuzzy.errors import ResourceLimitError
 from qfuzzy.exprparser import (
@@ -25,6 +25,7 @@ from qfuzzy.exprparser import (
     _born_weights,
     _quantum_state,
     eval_classical,
+    eval_columns,
     eval_quantum,
     evaluate,
     parse,
@@ -35,6 +36,7 @@ from qfuzzy.fuzzy import FuzzySet, com_law
 from qfuzzy.qfs import (
     _com_table,
     _value_distribution,
+    column_marginals,
     defuzzify,
     encode,
     value_marginals,
@@ -337,6 +339,58 @@ def test_superpose_free_defuz_builds_no_register(tmp_path, capsys, monkeypatch):
     code, out, err = _run_eval(tmp_path, capsys, spec)
     assert (code, err) == (0, "")
     assert sum(json.loads(out)["counts"].values()) == 500
+
+
+def test_columns_match_the_dense_register():
+    """Columns against the dense oracle on random SUPERPOSE-free trees: the
+    same layout, ranks and product verdict, and every float within 1e-12."""
+    rng = np.random.default_rng(131)
+    names = ["A", "B", "C"]
+    products = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 5))
+        bindings = {name: _crisp_heavy(rng, n) for name in names}
+        env = Environment(universe_size=n, bindings=bindings, mode="quantum")
+        ast = random_marginal_expr(rng, names, n, depth=4, budget=20)
+        dense = eval_quantum(ast, env)
+        columns = eval_columns(ast, env)
+        shown = pretty_print(ast)
+        assert columns.dense_layout() == dense.layout, shown
+        want, got = entanglement_report(dense), column_report(columns)
+        assert got.per_qubit_schmidt_ranks == want.per_qubit_schmidt_ranks, shown
+        assert got.is_product == want.is_product, shown
+        np.testing.assert_allclose(
+            column_marginals(columns), value_marginals(dense), rtol=0, atol=1e-12
+        )
+        if want.is_product:
+            products += 1
+            pairs = [
+                (got.canonical_fuzzy_set.memberships, want.canonical_fuzzy_set.memberships),
+                (got.phases, want.phases),
+            ]
+            pairs += [(g.amplitudes, w.amplitudes) for g, w in zip(got.factors, want.factors)]
+            for g, w in pairs:
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=shown)
+    assert 20 <= products < 200  # both verdicts are exercised
+
+
+def test_superpose_free_eval_builds_no_register(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a register was built")
+
+    for gate in ("encode", "qnot", "qand", "qor", "fuz_isometry", "superpose"):
+        monkeypatch.setattr(exprparser, gate, refuse)
+        monkeypatch.setattr(qfs, gate, refuse)
+    monkeypatch.setattr(cli, "encode", refuse)
+    spec = {
+        "universe_size": 3,
+        "sets": {"A": [0.2, 1.0, 0.7], "B": [0.0, 0.5, 0.9]},
+        "expression": "(A AND NOT FUZ(2, 1)) OR NOT B",
+        "mode": "quantum",
+    }
+    code, out, err = _run_eval(tmp_path, capsys, spec)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["total_qubits"] == 3 * 6
 
 
 def test_superpose_defuz_reads_the_register(monkeypatch):

@@ -33,7 +33,7 @@ def test_replay_records_gate_spans_and_cli_bytes(tracing, tmp_path, capsys):
     spec = {
         "universe_size": 2,
         "sets": {"A": [0.5, 0.3]},
-        "expression": "A AND FUZ(1, 0)",
+        "expression": "SUPERPOSE(1.0 * A) AND FUZ(1, 0)",
         "mode": "quantum",
         "seed": 1,
         "trials": 10,
@@ -66,6 +66,27 @@ def test_replay_of_superpose_free_defuz_has_no_register_spans(tracing, tmp_path,
     names = {span.name for span in recorder.spans}
     assert "exprparser.evaluate" in names
     assert not names & {"qfs.qand", "qfs.encode", "qfs.defuzzify"}
+    capsys.readouterr()
+    code = main(argv)
+    assert results == [(code, capsys.readouterr().out.encode("utf-8"))]
+    assert code == 0
+
+
+def test_replay_of_superpose_free_eval_has_no_register_spans(tracing, tmp_path, capsys):
+    spec = {
+        "universe_size": 3,
+        "sets": {"A": [0.5, 0.3, 1.0], "B": [0.0, 0.9, 0.4]},
+        "expression": "(A AND FUZ(1, 0)) OR NOT B",
+        "mode": "quantum",
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    argv = ["eval", "--input", str(path)]
+    recorder, results = tracing.replay([argv])
+    names = {span.name for span in recorder.spans}
+    assert "serialize.dumps" in names
+    assert not {n for n in names if n.startswith("qfs.")}
+    assert "analysis.entanglement_report" not in names
     capsys.readouterr()
     code = main(argv)
     assert results == [(code, capsys.readouterr().out.encode("utf-8"))]
