@@ -16,15 +16,7 @@ import numpy as np
 from . import serialize
 from .analysis import EntanglementReport, column_report, entanglement_report
 from .errors import ResourceLimitError, _brief
-from .exprparser import (
-    Environment,
-    EvalError,
-    ParseError,
-    eval_columns,
-    evaluate,
-    is_columnar,
-    parse,
-)
+from .exprparser import Environment, EvalError, ParseError, evaluate, parse
 from .fuzzy import FuzzySet
 from .qfs import (
     VALUE_SEGMENT,
@@ -119,11 +111,7 @@ def _quantum_payload(
 def _cmd_eval(args: argparse.Namespace) -> str:
     expression, env = _read_spec(_load_json(_read_input(args.input)), args)
     try:
-        ast = parse(expression)
-        if env.mode == "quantum" and is_columnar(ast):
-            result = eval_columns(ast, env)
-        else:
-            result = evaluate(ast, env)
+        result = evaluate(parse(expression), env)
     except RecursionError:
         raise EvalError("expression nested too deeply") from None
     if isinstance(result, FuzzySet):
@@ -237,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.handler(args)
+        _write_output(args.output, args.handler(args))
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -251,7 +239,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    _write_output(args.output, text)
     return EXIT_OK
 
 

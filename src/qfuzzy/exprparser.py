@@ -425,10 +425,33 @@ def _leaf_width(node: ExprAst, env: Environment) -> int:
 
 
 def evaluate(ast: ExprAst, env: Environment):
-    """Dispatch on ``env.mode``."""
+    """Evaluate ``ast`` with the exact backend its mode and shape allow.
+
+    Classical mode goes to :func:`eval_classical`.  A quantum tree with a
+    top-level DEFUZ or any SUPERPOSE goes to :func:`eval_quantum`.  Any
+    other quantum tree is checked against ``env.qubit_cap`` with
+    :func:`eval_quantum`'s refusals and returns the register eval_quantum
+    would build as one w-qubit column per universe element
+    (:class:`ColumnSet`), read with :func:`column_report` and
+    :func:`column_marginals`; the columns, N * 2^w amplitudes, are never
+    larger than that register.
+
+    The columns are exact: a leaf's register is a product over the
+    elements, and each gate acts within one element's qubits, so every
+    node's register is the product of its N columns.  An identifier gives
+    the columns (sqrt(1-m), sqrt(m)) and a FUZ leaf its seed and window
+    qubits (:func:`fuz_columns`); NOT, AND and OR run :func:`qnot`'s
+    reversal and the :func:`qand` and :func:`qor` scatter on all columns at
+    once.
+    """
     if env.mode == "classical":
         return eval_classical(ast, env)
-    return eval_quantum(ast, env)
+    if isinstance(ast, Defuz) or _contains_superpose(ast):
+        return eval_quantum(ast, env)
+    check_register_cap(plan(ast, env), env.qubit_cap)
+    return _fold(
+        ast, lambda leaf: _leaf_columns(leaf, env), column_not, column_and, column_or
+    )
 
 
 def eval_classical(ast: ExprAst, env: Environment) -> FuzzySet | dict[int, float]:
@@ -461,7 +484,7 @@ def eval_quantum(ast: ExprAst, env: Environment) -> QuantumFuzzySet | dict[int, 
 
     Without DEFUZ this returns the register itself, the dense oracle.  For a
     SUPERPOSE-free expression that register is the product of the columns
-    :func:`eval_columns` returns, which the CLI reports from instead.
+    :func:`evaluate` returns.
     """
     check_register_cap(plan(ast, env), env.qubit_cap)
     if not isinstance(ast, Defuz):
@@ -471,32 +494,6 @@ def eval_quantum(ast: ExprAst, env: Environment) -> QuantumFuzzySet | dict[int, 
         state = _quantum_state(ast.child, env)
         return defuzzify(state, rng, env.trials, cap=env.qubit_cap)
     return draw_counts(com_law(*_born_weights(ast.child, env)), rng, env.trials)
-
-
-def is_columnar(ast: ExprAst) -> bool:
-    """Whether :func:`eval_columns` takes ``ast``: it has no top-level DEFUZ
-    and no SUPERPOSE."""
-    return not isinstance(ast, Defuz) and not _contains_superpose(ast)
-
-
-def eval_columns(ast: ExprAst, env: Environment) -> ColumnSet:
-    """The register :func:`eval_quantum` builds for a SUPERPOSE-free ``ast``
-    without top-level DEFUZ, as one w-qubit column per universe element
-    (:class:`ColumnSet`), with no 2^(N*w)-amplitude register.  A leaf's
-    register is a product over the elements, and each gate acts within one
-    element's qubits, so every node's register is the product of its N
-    columns.  An identifier gives the columns (sqrt(1-m), sqrt(m)) and a FUZ
-    leaf its seed and window qubits (:func:`fuz_columns`); NOT, AND and OR
-    run :func:`qnot`'s reversal and the :func:`qand` and :func:`qor`
-    scatter on all columns at once.  The planned register is checked
-    against ``env.qubit_cap`` first, with eval_quantum's refusals; the
-    columns, N * 2^w amplitudes, are never larger than that register."""
-    check_register_cap(plan(ast, env), env.qubit_cap)
-    if not is_columnar(ast):
-        raise ValueError("columns need an expression without DEFUZ or SUPERPOSE")
-    return _fold(
-        ast, lambda leaf: _leaf_columns(leaf, env), column_not, column_and, column_or
-    )
 
 
 def _leaf_columns(node: Ident | Fuz, env: Environment) -> ColumnSet:

@@ -44,6 +44,16 @@ def _emit(obj: Any, out: list[str]) -> None:
                 out.append(", ")
             _emit(value, out)
         out.append("]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
     elif isinstance(obj, (dict, Mapping)):
         out.append("{")
         for i, (key, value) in enumerate(obj.items()):
@@ -55,16 +65,6 @@ def _emit(obj: Any, out: list[str]) -> None:
             out.append(": ")
             _emit(value, out)
         out.append("}")
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.complex128:
         out.append(_complex_pairs(obj))
     else:

@@ -673,6 +673,18 @@ def test_input_and_output_paths(tmp_path, capsys, monkeypatch):
     assert payload["amplitudes"][1][0] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("target", ["missing/out.json", "."])
+def test_unwritable_output_path_is_an_input_error(tmp_path, capsys, monkeypatch, target):
+    """A missing directory or a directory as the path: one error line and
+    exit 2, not a traceback."""
+    argv = ["eval", "--output", str(tmp_path / target)]
+    code, out, err = run_cli(capsys, monkeypatch, argv, eval_spec())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_missing_input_file(capsys, monkeypatch):
     code, _, err = run_cli(
         capsys, monkeypatch, ["encode", "--input", "/no/such/file.json"]

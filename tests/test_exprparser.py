@@ -25,7 +25,6 @@ from qfuzzy.exprparser import (
     _born_weights,
     _quantum_state,
     eval_classical,
-    eval_columns,
     eval_quantum,
     evaluate,
     parse,
@@ -353,7 +352,7 @@ def test_columns_match_the_dense_register():
         env = Environment(universe_size=n, bindings=bindings, mode="quantum")
         ast = random_marginal_expr(rng, names, n, depth=4, budget=20)
         dense = eval_quantum(ast, env)
-        columns = eval_columns(ast, env)
+        columns = evaluate(ast, env)
         shown = pretty_print(ast)
         assert columns.dense_layout() == dense.layout, shown
         want, got = entanglement_report(dense), column_report(columns)
@@ -434,7 +433,7 @@ def test_evaluate_dispatches_on_mode():
     classical = evaluate(parse("A"), env_for(1, A=[0.4]))
     quantum = evaluate(parse("A"), env_for(1, "quantum", A=[0.4]))
     assert isinstance(classical, FuzzySet)
-    assert value_marginals(quantum) == pytest.approx([0.4])
+    assert column_marginals(quantum) == pytest.approx([0.4])
 
 
 # --- mode agreement -----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import abc
 import json
 
 import numpy as np
@@ -30,6 +31,25 @@ def test_dumps_is_valid_json():
 def test_dumps_rejects_unknown_types():
     with pytest.raises(TypeError, match="cannot serialize"):
         serialize.dumps({"x": object()})
+
+
+def test_dumps_scalars_skip_the_mapping_check(monkeypatch):
+    """None, the bools, strings and integers are emitted before the slow
+    Mapping ABC check is reached."""
+    checks = []
+
+    class CountingMeta(abc.ABCMeta):
+        def __instancecheck__(cls, obj):
+            checks.append(obj)
+            return super().__instancecheck__(obj)
+
+    class CountingMapping(metaclass=CountingMeta):
+        pass
+
+    monkeypatch.setattr(serialize, "Mapping", CountingMapping)
+    text = serialize.dumps([1, np.int64(2), True, False, None, "x", [3]])
+    assert text == '[1, 2, true, false, null, "x", [3]]'
+    assert checks == []
 
 
 EDGE_REALS = [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.0, -3.0, 2.0**53]

@@ -11,17 +11,26 @@ import pytest
 
 from qfuzzy.cli import main
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture
-def tracing(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their defining module up in sys.modules
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    return _load(monkeypatch, "tracing")
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    return _load(monkeypatch, "workloads")
 
 
 def test_trace_boundaries_resolve(tracing):
@@ -84,6 +93,7 @@ def test_replay_of_superpose_free_eval_has_no_register_spans(tracing, tmp_path, 
     argv = ["eval", "--input", str(path)]
     recorder, results = tracing.replay([argv])
     names = {span.name for span in recorder.spans}
+    assert "exprparser.evaluate" in names
     assert "serialize.dumps" in names
     assert not {n for n in names if n.startswith("qfs.")}
     assert "analysis.entanglement_report" not in names
@@ -91,3 +101,34 @@ def test_replay_of_superpose_free_eval_has_no_register_spans(tracing, tmp_path, 
     code = main(argv)
     assert results == [(code, capsys.readouterr().out.encode("utf-8"))]
     assert code == 0
+
+
+@pytest.mark.parametrize("workload", ["quantum-defuz", "quantum-state", "classical"])
+def test_every_parsed_expression_is_evaluated_in_a_traced_call(
+    tracing, workloads, tmp_path, workload
+):
+    argvs = []
+    for i, spec in enumerate(workloads.generate(workload, 1, cycles=1)):
+        path = tmp_path / f"spec{i:03d}.json"
+        path.write_text(spec["input"], encoding="utf-8")
+        argvs.append([spec["cmd"], "--input", str(path), *spec["args"]])
+    recorder, _ = tracing.replay(argvs)
+    parsed = [s for s in recorder.spans if s.name == "exprparser.parse" and s.error is None]
+    evaluated = [s for s in recorder.spans if s.name == "exprparser.evaluate"]
+    assert parsed
+    assert len(evaluated) == len(parsed)
+
+
+def test_over_cap_superpose_free_eval_is_a_traced_refusal(tracing, tmp_path):
+    spec = {
+        "universe_size": 3,
+        "sets": {"A": [0.5, 0.3, 1.0], "B": [0.0, 0.9, 0.4]},
+        "expression": "(A AND B) OR NOT A",
+        "mode": "quantum",
+        "qubit_cap": 8,
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    recorder, results = tracing.replay([["eval", "--input", str(path)]])
+    assert results == [(3, b"")]
+    assert tracing.layer_metrics(recorder.spans)["exprparser.evaluate.refused"] == 1
