@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -22,6 +21,7 @@ from .statevec import (
     DEFAULT_QUBIT_CAP,
     NORM_TOL,
     StateVector,
+    _kron_columns,
     check_register_cap,
     check_shots,
     draw_counts,
@@ -161,14 +161,9 @@ def _product_amplitudes(memberships: np.ndarray) -> np.ndarray:
     """Amplitudes of the product state with qubit i in
     sqrt(1-m_i)|0> + sqrt(m_i)|1>, for the memberships along the last axis
     of ``memberships`` (one register per leading index): the kron of the
-    per-qubit columns, built as a chain of outer products (the same products
-    as ``np.kron``, without its per-call overhead)."""
+    per-qubit columns (:func:`_kron_columns`)."""
     m = np.asarray(memberships, dtype=np.float64)
-    lead = m.shape[:-1]
-    out = np.ones(lead + (1,))
-    for column in np.stack([np.sqrt(1.0 - m), np.sqrt(m)], axis=-1).swapaxes(0, -2):
-        out = (out[..., :, None] * column[..., None, :]).reshape(lead + (-1,))
-    return out
+    return _kron_columns(np.stack([np.sqrt(1.0 - m), np.sqrt(m)], axis=-1))
 
 
 def _value_axis(layout: RegisterLayout, values: np.ndarray) -> np.ndarray:
@@ -320,19 +315,16 @@ def _windows(patterns: Iterable[int], k: int, n: int) -> Iterator[tuple]:
     one value, 2^(-j/2) for a window of j qubits, on the sub-block
     ``window`` (a full slice on each window qubit, 0 elsewhere) and 0 off
     it.  The value is multiplied in the kron chain's order, so its bits are
-    the chain's.  Patterns with the same window share one (window, value)."""
+    the chain's."""
     shifts = range(min(k, n - 1) + 1)
     full = slice(None)
-    seen: dict[int, tuple] = {}
     for p in map(int, patterns):
         window = 0
         for s in shifts:
             window |= (p << s) | (p >> s)
         window &= (1 << n) - 1
-        if window not in seen:
-            index = tuple(full if window >> i & 1 else 0 for i in reversed(range(n)))
-            seen[window] = index, math.prod([math.sqrt(0.5)] * window.bit_count())
-        yield (p, *seen[window])
+        index = tuple(full if window >> i & 1 else 0 for i in reversed(range(n)))
+        yield p, index, math.prod([math.sqrt(0.5)] * window.bit_count())
 
 
 def fuz_linear(state: StateVector, k: int, renormalize: bool = False) -> StateVector:
@@ -397,11 +389,11 @@ def fuz_isometry(
     return QuantumFuzzySet(StateVector(total, out.reshape(-1)), layout)
 
 
-@lru_cache(maxsize=None)
 def _com_table(n: int) -> np.ndarray:
     """:func:`com_index` of every n-bit pattern, indexed by the pattern:
     :func:`com_from_sums` of its popcount and the sum of its set indices
-    (element 1 is the most significant bit)."""
+    (element 1 is the most significant bit), as a fresh array on each
+    call."""
     patterns = np.arange(1 << n, dtype=np.int64)
     count = np.zeros_like(patterns)
     index_sum = np.zeros_like(patterns)
@@ -409,9 +401,7 @@ def _com_table(n: int) -> np.ndarray:
         bit = (patterns >> (n - i)) & 1
         count += bit
         index_sum += i * bit
-    table = com_from_sums(count, index_sum)
-    table.flags.writeable = False
-    return table
+    return com_from_sums(count, index_sum)
 
 
 def u_com(state: StateVector) -> StateVector:
@@ -474,7 +464,11 @@ def superpose(
     Encoded terms are generally non-orthogonal, so the raw combination's
     norm carries interference information; it is kept on the result as
     ``pre_norm``.  A non-finite coefficient, an overflowing norm and a
-    combination that cancels completely raise.
+    combination that cancels completely raise.  Each encoded term has unit
+    norm, so sum |c_k| is the norm the combination would have without
+    interference, and it cancels completely when ``pre_norm`` is at most
+    NORM_TOL times that: one term never does, however small, unless it is
+    0 or its squared amplitudes underflow (below about 1e-150).
     """
     terms = list(terms)
     if not terms:
@@ -490,9 +484,10 @@ def superpose(
         for c, f in terms:
             vec += complex(c) * _product_amplitudes(f.memberships)
         pre_norm = float(np.linalg.norm(vec))
+        weight = float(np.abs([complex(c) for c, _ in terms]).sum())
     if not math.isfinite(pre_norm):
         raise ValueError("superposition norm overflows: coefficients too large")
-    if pre_norm < NORM_TOL:
+    if pre_norm <= NORM_TOL * weight:
         raise ValueError(
             f"superposition cancelled completely (norm {pre_norm:.3e})"
         )

@@ -282,6 +282,18 @@ def schmidt_rank(state: StateVector, left: Iterable[int]) -> int:
     return int(np.count_nonzero(singular > RANK_SV_TOL))
 
 
+def _kron_columns(columns: np.ndarray) -> np.ndarray:
+    """The kron of the n 2-vectors along the second-to-last axis of the
+    (..., n, 2) array ``columns``, as a (..., 2^n) array with the leading
+    axes kept: a chain of outer products (the products of ``np.kron``,
+    without its per-call overhead)."""
+    lead = columns.shape[:-2]
+    out = np.ones(lead + (1,))
+    for column in np.moveaxis(columns, -2, 0):
+        out = (out[..., :, None] * column[..., None, :]).reshape(lead + (-1,))
+    return out
+
+
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """<x, y> of each pair of equally shaped (batch, rows, cols) views,
     reduced along the longer of rows and cols first."""
@@ -340,9 +352,7 @@ def _qubit_split(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         discarded += np.sum(s[:, 1:] ** 2, axis=1)
     if (ranks != 1).any():
         return ranks, None
-    rebuilt = np.ones((batch, 1))
-    for q in range(n):
-        rebuilt = (rebuilt[:, :, None] * tops[:, q, None, :]).reshape(batch, -1)
+    rebuilt = _kron_columns(tops)
     rebuilt *= np.vecdot(rebuilt, amps)[:, None]
     rebuilt -= amps
     deviation = np.max(np.abs(rebuilt), axis=1)

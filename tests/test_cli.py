@@ -242,6 +242,41 @@ def test_eval_superpose_overflow_refused(capsys, monkeypatch, expression, messag
     assert not caught
 
 
+@pytest.mark.parametrize(
+    "small, unit",
+    [
+        ("SUPERPOSE(1e-11 * A)", "SUPERPOSE(1 * A)"),
+        ("SUPERPOSE(3e-12 * A, 4e-12 * B)", "SUPERPOSE(3 * A, 4 * B)"),
+    ],
+)
+def test_eval_superpose_small_coefficients_renormalize(capsys, monkeypatch, small, unit):
+    marginals = []
+    for expression in (small, unit):
+        spec = eval_spec(
+            universe_size=2,
+            sets={"A": [0.5, 0.3], "B": [0.2, 0.9]},
+            expression=expression,
+            mode="quantum",
+        )
+        code, out, err = run_cli(capsys, monkeypatch, ["eval"], spec)
+        assert (code, err) == (0, "")
+        marginals.append(json.loads(out)["value_marginals"])
+    np.testing.assert_allclose(marginals[0], marginals[1], rtol=0, atol=1e-12)
+
+
+def test_eval_superpose_of_zero_cancels(capsys, monkeypatch):
+    spec = eval_spec(
+        universe_size=2, sets={"A": [0.5, 0.3]}, expression="SUPERPOSE(0 * A)",
+        mode="quantum",
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, monkeypatch, ["eval"], spec)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: superposition cancelled completely")
+    assert not caught
+
+
 def test_eval_cap_exceeded(capsys, monkeypatch):
     spec = eval_spec(mode="quantum", qubit_cap=2)
     code, _, err = run_cli(capsys, monkeypatch, ["eval"], spec)

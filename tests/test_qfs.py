@@ -665,6 +665,13 @@ def test_com_table_equals_com_index():
         assert np.array_equal(_com_table(n), expected)
 
 
+def test_com_table_is_a_fresh_writeable_array():
+    first, second = _com_table(3), _com_table(3)
+    assert first.flags.writeable and first is not second
+    first[:] = -1
+    assert np.array_equal(second, [com_index(format(u, "03b")) for u in range(8)])
+
+
 def test_connectives_equal_gate_circuits():
     rng = np.random.default_rng(229)
     for operands in (oracle_operands(rng, n) for n in (1, 2, 3)):
@@ -774,9 +781,11 @@ def test_fuz_isometry_equals_per_amplitude_reference():
             assert np.array_equal(got, reference_fuz_isometry(q, k))
 
 
-def test_fuz_linear_allocates_nothing_beyond_its_output():
-    # one window per pattern at k=0; the output itself is 16 KiB
-    state = random_state(np.random.default_rng(271), 10)
+@pytest.mark.parametrize("n", [10, 14])
+def test_fuz_linear_allocates_nothing_beyond_its_output(n):
+    # one window per pattern at k=0; the output itself is 16 KiB at 10
+    # qubits and 256 KiB at 14
+    state = random_state(np.random.default_rng(271), n)
     assert peak_bytes(fuz_linear, state, 0) <= 1 << 20
 
 
