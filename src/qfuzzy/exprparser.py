@@ -426,29 +426,44 @@ def _leaf_width(node: ExprAst, env: Environment) -> int:
 
 def evaluate(ast: ExprAst, env: Environment):
     """Evaluate ``ast`` with the exact backend its mode and shape allow.
+    This is the one place that choice is made.  Every quantum route checks
+    the planned register (:func:`plan`) against ``env.qubit_cap`` before
+    anything is built, with :func:`eval_quantum`'s refusals.
 
-    Classical mode goes to :func:`eval_classical`.  A quantum tree with a
-    top-level DEFUZ or any SUPERPOSE goes to :func:`eval_quantum`.  Any
-    other quantum tree is checked against ``env.qubit_cap`` with
-    :func:`eval_quantum`'s refusals and returns the register eval_quantum
-    would build as one w-qubit column per universe element
-    (:class:`ColumnSet`), read with :func:`column_report` and
-    :func:`column_marginals`; the columns, N * 2^w amplitudes, are never
-    larger than that register.
+    1. Classical mode goes to :func:`eval_classical`.
+    2. A quantum tree, or a top-level DEFUZ's body, that contains SUPERPOSE
+       goes to :func:`eval_quantum`, the dense register.
+    3. Any other top-level DEFUZ builds no register.  It draws its counts
+       over ``env.trials`` trials, seeded by ``env.seed``, from
+       :func:`com_law` of its body's Born weights (:func:`_born_weights`),
+       as :func:`defuzzify` draws them from the register.
+    4. Any other quantum tree returns the register :func:`eval_quantum`
+       would build as one w-qubit column per universe element
+       (:class:`ColumnSet`), read with :func:`column_report` and
+       :func:`column_marginals`; the columns, N * 2^w amplitudes, are never
+       larger than that register.
 
-    The columns are exact: a leaf's register is a product over the
-    elements, and each gate acts within one element's qubits, so every
-    node's register is the product of its N columns.  An identifier gives
-    the columns (sqrt(1-m), sqrt(m)) and a FUZ leaf its seed and window
-    qubits (:func:`fuz_columns`); NOT, AND and OR run :func:`qnot`'s
-    reversal and the :func:`qand` and :func:`qor` scatter on all columns at
-    once.
+    Routes 3 and 4 are exact.  A leaf's register is a product over the
+    elements, and each gate the evaluator applies (X, or a Toffoli into
+    fresh |0>) acts within one element's qubits, so every node's register
+    is the product of its N columns.  An identifier gives the columns
+    (sqrt(1-m), sqrt(m)) and a FUZ leaf its seed and window qubits
+    (:func:`fuz_columns`); NOT, AND and OR run :func:`qnot`'s reversal and
+    the :func:`qand` and :func:`qor` scatter on all columns at once.  So
+    the value bits are independent, and the readout law is the dynamic
+    program over each bit's Born weights.  Those weights keep the
+    register's exact zeros, which fix the drawn counts.  A superposed
+    state is not a product across elements, so it needs the register.
     """
     if env.mode == "classical":
         return eval_classical(ast, env)
-    if isinstance(ast, Defuz) or _contains_superpose(ast):
+    body = ast.child if isinstance(ast, Defuz) else ast
+    if _fold(body, lambda leaf: isinstance(leaf, Superpose), bool, or_, or_):
         return eval_quantum(ast, env)
     check_register_cap(plan(ast, env), env.qubit_cap)
+    if isinstance(ast, Defuz):
+        rng = np.random.default_rng(env.seed)
+        return draw_counts(com_law(*_born_weights(body, env)), rng, env.trials)
     return _fold(
         ast, lambda leaf: _leaf_columns(leaf, env), column_not, column_and, column_or
     )
@@ -468,32 +483,20 @@ def _classical_set(node: ExprAst, env: Environment) -> FuzzySet:
 
 
 def eval_quantum(ast: ExprAst, env: Environment) -> QuantumFuzzySet | dict[int, int]:
-    """Register simulation; a top-level DEFUZ returns sampled center-of-mass
-    counts over ``env.trials`` trials seeded by ``env.seed``.  The planned
+    """Register simulation of any expression, the dense oracle; a top-level
+    DEFUZ returns the counts :func:`defuzzify` samples from its body's
+    register over ``env.trials`` trials seeded by ``env.seed``.  The planned
     register is checked against ``env.qubit_cap`` before anything is built.
 
-    Under a SUPERPOSE-free DEFUZ no register is built at all.  Each gate the
-    evaluator applies there (X, or a Toffoli into fresh |0>) permutes basis
-    states within one universe element's column, and each connective's
-    inputs are separate registers, so the value bits are independent: the
-    readout law is :func:`com_law` of their Born weights
-    (:func:`_born_weights`), and the counts are drawn from it as
-    :func:`defuzzify` draws them from the register.  A superposed state is
-    not a product across elements, so a DEFUZ over SUPERPOSE reads the
-    register.
-
-    Without DEFUZ this returns the register itself, the dense oracle.  For a
-    SUPERPOSE-free expression that register is the product of the columns
-    :func:`evaluate` returns.
+    For a SUPERPOSE-free expression the register is the product of the
+    columns :func:`evaluate` returns, and its DEFUZ law is the one
+    :func:`evaluate` draws from without building it.
     """
     check_register_cap(plan(ast, env), env.qubit_cap)
     if not isinstance(ast, Defuz):
         return _quantum_state(ast, env)
     rng = np.random.default_rng(env.seed)
-    if _contains_superpose(ast.child):
-        state = _quantum_state(ast.child, env)
-        return defuzzify(state, rng, env.trials, cap=env.qubit_cap)
-    return draw_counts(com_law(*_born_weights(ast.child, env)), rng, env.trials)
+    return defuzzify(_quantum_state(ast.child, env), rng, env.trials, cap=env.qubit_cap)
 
 
 def _leaf_columns(node: Ident | Fuz, env: Environment) -> ColumnSet:
@@ -522,10 +525,6 @@ def _leaf_state(node: Ident | Fuz | Superpose, env: Environment) -> QuantumFuzzy
         terms = [(c, _leaf(t, env)) for c, t in node.terms]
         return superpose(terms, cap=env.qubit_cap)
     return encode(_leaf(node, env), cap=env.qubit_cap)
-
-
-def _contains_superpose(node: ExprAst) -> bool:
-    return _fold(node, lambda leaf: isinstance(leaf, Superpose), bool, or_, or_)
 
 
 def _born_weights(node: ExprAst, env: Environment) -> np.ndarray:

@@ -443,8 +443,9 @@ def defuzzify(
     after) array: the distribution along the value axis, binned by
     :func:`_com_table`.  The cap still counts the N ancillas.  The trials
     are independent, so :func:`draw_counts` draws them in one pass from
-    that marginal.  (The evaluator draws a SUPERPOSE-free expression's
-    counts from per-element weights instead, without a register.)
+    that marginal.  (``exprparser.evaluate`` draws a SUPERPOSE-free
+    expression's counts from per-element weights instead, without a
+    register.)
     """
     check_shots(trials, "trials")
     n = q.universe_size
@@ -468,7 +469,10 @@ def superpose(
     norm, so sum |c_k| is the norm the combination would have without
     interference, and it cancels completely when ``pre_norm`` is at most
     NORM_TOL times that: one term never does, however small, unless it is
-    0 or its squared amplitudes underflow (below about 1e-150).
+    0.  So that tiny coefficients do not underflow when squared, a largest
+    |c_k| below 1 is first scaled into [0.5, 1) by a power of two, and
+    ``pre_norm`` is scaled back; a power of two scales exactly, so the
+    result is the unscaled one wherever that one does not underflow.
     """
     terms = list(terms)
     if not terms:
@@ -479,22 +483,24 @@ def superpose(
         if not np.isfinite(c):
             raise ValueError(f"superposition coefficient must be finite, got {c}")
     check_register_cap(n, cap)
+    peak = max(abs(complex(c)) for c, _ in terms)
+    scale = 2.0 ** math.frexp(peak)[1] if 0 < peak < 1 else 1.0
     vec = np.zeros(1 << n, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         for c, f in terms:
-            vec += complex(c) * _product_amplitudes(f.memberships)
-        pre_norm = float(np.linalg.norm(vec))
-        weight = float(np.abs([complex(c) for c, _ in terms]).sum())
-    if not math.isfinite(pre_norm):
+            vec += complex(c) / scale * _product_amplitudes(f.memberships)
+        norm = float(np.linalg.norm(vec))
+        weight = float(np.abs([complex(c) / scale for c, _ in terms]).sum())
+    if not math.isfinite(norm):
         raise ValueError("superposition norm overflows: coefficients too large")
-    if pre_norm <= NORM_TOL * weight:
+    if norm <= NORM_TOL * weight:
         raise ValueError(
-            f"superposition cancelled completely (norm {pre_norm:.3e})"
+            f"superposition cancelled completely (norm {norm * scale:.3e})"
         )
     return QuantumFuzzySet(
-        StateVector(n, vec / pre_norm),
+        StateVector(n, vec / norm),
         RegisterLayout.single(VALUE_SEGMENT, n),
-        pre_norm=pre_norm,
+        pre_norm=norm * scale,
     )
 
 

@@ -247,6 +247,7 @@ def test_eval_superpose_overflow_refused(capsys, monkeypatch, expression, messag
     [
         ("SUPERPOSE(1e-11 * A)", "SUPERPOSE(1 * A)"),
         ("SUPERPOSE(3e-12 * A, 4e-12 * B)", "SUPERPOSE(3 * A, 4 * B)"),
+        ("SUPERPOSE(1e-200 * A)", "SUPERPOSE(1 * A)"),
     ],
 )
 def test_eval_superpose_small_coefficients_renormalize(capsys, monkeypatch, small, unit):
@@ -571,6 +572,40 @@ def test_report_rejects_non_number_amplitudes(capsys, monkeypatch, pair):
     assert code == 2
     assert out == ""
     assert "pairs of JSON numbers" in err
+
+
+@pytest.mark.parametrize(
+    "command, document, message",
+    [
+        ("encode", "[0.5]", "fuzzy set must be a JSON object, got list"),
+        ("report", "[1]", "state must be a JSON object, got list"),
+        ("sample", '"x"', "state must be a JSON object, got str"),
+        (
+            "report",
+            json.dumps({**json.loads(two_qubit_state()), "layout": {}}),
+            "layout must be an array of [name, start, length] rows",
+        ),
+        (
+            "report",
+            two_qubit_state(amplitudes={"a": 1}),
+            "amplitudes must be an array of [re, im] pairs",
+        ),
+        ("eval", "[1, 2]", "pipeline spec must be a JSON object, got list"),
+        (
+            "eval",
+            eval_spec(sets=[]),
+            "sets must be an object mapping names to membership arrays",
+        ),
+    ],
+    ids=["encode-list", "report-list", "sample-str", "layout", "amplitudes",
+         "eval-list", "sets"],
+)
+def test_input_of_the_wrong_shape_is_refused(
+    capsys, monkeypatch, command, document, message
+):
+    code, out, err = run_cli(capsys, monkeypatch, [command], document)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 LONG_ARRAY = list(range(20000))

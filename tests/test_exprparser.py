@@ -401,9 +401,15 @@ def test_superpose_defuz_reads_the_register(monkeypatch):
 
     monkeypatch.setattr(exprparser, "defuzzify", recording)
     env = env_for(2, "quantum", A=[0.3, 1.0], B=[0.0, 0.6])
-    counts = eval_quantum(parse("DEFUZ(NOT SUPERPOSE(0.6 * A, 0.8 * B) AND A)"), env)
-    assert calls == [6]
-    assert sum(counts.values()) == env.trials
+    # the dense oracle samples every DEFUZ from its register, SUPERPOSE or not
+    for source, qubits in [
+        ("DEFUZ(NOT SUPERPOSE(0.6 * A, 0.8 * B) AND A)", 6),
+        ("DEFUZ(A AND NOT FUZ(2, 1))", 8),
+    ]:
+        calls.clear()
+        counts = eval_quantum(parse(source), env)
+        assert calls == [qubits], source
+        assert sum(counts.values()) == env.trials
 
 
 def test_defuz_past_classical_limit_with_raised_cap(tmp_path, capsys):

@@ -455,6 +455,19 @@ def test_superpose_large_finite_coefficients_renormalize():
     assert q.pre_norm == pytest.approx(1e150)
 
 
+@pytest.mark.parametrize(
+    "tiny, unit, scale",
+    [((1e-200,), (1.0,), 1e-200), ((1e-300, 2e-300), (1.0, 2.0), 1e-300)],
+)
+def test_superpose_tiny_coefficients_renormalize(tiny, unit, scale):
+    # squared, these coefficients underflow; a lone term cannot cancel
+    sets = [FuzzySet([0.5, 0.3]), FuzzySet([0.2, 0.9])]
+    small = superpose(zip(tiny, sets))
+    big = superpose(zip(unit, sets))
+    assert np.max(np.abs(small.state.amplitudes - big.state.amplitudes)) <= 1e-15
+    assert small.pre_norm == pytest.approx(big.pre_norm * scale, rel=1e-12)
+
+
 def test_superpose_refuses_over_cap_before_allocating():
     f = FuzzySet([0.5] * 22)
     tracemalloc.start()

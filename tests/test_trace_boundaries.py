@@ -1,8 +1,10 @@
 """The benchmark's traced replay wraps names the program imports across its
 modules; these tests keep those names in place and the replay faithful."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -36,6 +38,35 @@ def workloads(monkeypatch):
 def test_trace_boundaries_resolve(tracing):
     for module_name, attr, _, _ in tracing._boundaries():
         assert hasattr(importlib.import_module(module_name), attr), (module_name, attr)
+
+
+def test_trace_boundaries_are_called(tracing):
+    """A wrapped name that its module imports must also be read in that
+    module's code: one kept importable only so that the replay resolves
+    would leave its per-layer row reading 0."""
+    names = {}
+    for module_name, attr, _, _ in tracing._boundaries():
+        module = importlib.import_module(module_name)
+        if getattr(module, attr).__module__ == module_name:
+            continue  # defined there, so the caller is another module
+        if module_name not in names:
+            nodes = list(ast.walk(ast.parse(inspect.getsource(module))))
+            names[module_name] = (
+                {
+                    alias.asname or alias.name
+                    for node in nodes
+                    if isinstance(node, ast.ImportFrom)
+                    for alias in node.names
+                },
+                {
+                    node.id
+                    for node in nodes
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                },
+            )
+        imported, read = names[module_name]
+        assert attr in imported, (module_name, attr)
+        assert attr in read, (module_name, attr)
 
 
 def test_replay_records_gate_spans_and_cli_bytes(tracing, tmp_path, capsys):
