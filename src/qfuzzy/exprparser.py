@@ -18,6 +18,7 @@ quantum-only with subterms restricted to identifiers and ``FUZ`` leaves.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from operator import or_
@@ -135,52 +136,75 @@ def tokenize(text: str) -> list[Token]:
 # --- syntax tree ----------------------------------------------------------
 
 
+@dataclass(frozen=True, kw_only=True)
+class _Node:
+    """Base of the seven node classes.  ``pos`` is the 1-based (line, column)
+    of the token that starts the node (the operator's, for AND and OR), or
+    None for a tree built by hand; ``==``, ``hash`` and ``repr`` ignore it."""
+
+    pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
-class Ident:
+class Ident(_Node):
     name: str
-    pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Node):
     child: "ExprAst"
-    pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Node):
     left: "ExprAst"
     right: "ExprAst"
-    pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Node):
     left: "ExprAst"
     right: "ExprAst"
-    pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Fuz:
+class Fuz(_Node):
     index: int
     k: int
-    pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Defuz:
+class Defuz(_Node):
     child: "ExprAst"
-    pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Superpose:
+class Superpose(_Node):
     terms: tuple[tuple[float, "ExprAst"], ...]
-    pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
 
 ExprAst = Union[Ident, Not, And, Or, Fuz, Defuz, Superpose]
+
+
+def _fold(node: ExprAst, leaf, negate, conj, disj):
+    """Bottom-up value of ``node``: ``leaf(node)`` at a leaf, ``negate`` at
+    NOT, and ``conj`` or ``disj`` of the left and right values at AND or OR,
+    with children taken left to right.  A left-deep AND/OR chain, which is
+    what the parser makes of ``A AND B AND ...``, is walked in a loop, so
+    its length does not count against the recursion limit."""
+    if isinstance(node, Not):
+        return negate(_fold(node.child, leaf, negate, conj, disj))
+    if not isinstance(node, (And, Or)):
+        return leaf(node)
+    links = []
+    while isinstance(node, (And, Or)):
+        links.append(node)
+        node = node.left
+    value = _fold(node, leaf, negate, conj, disj)
+    for link in reversed(links):
+        right = _fold(link.right, leaf, negate, conj, disj)
+        value = (conj if isinstance(link, And) else disj)(value, right)
+    return value
 
 
 # --- parser ---------------------------------------------------------------
@@ -215,18 +239,21 @@ class _Parser:
         return self.advance()
 
     def expr(self) -> ExprAst:
-        node = self.term()
-        while self.peek().kind == "OR":
-            tok = self.advance()
-            node = Or(node, self.term(), pos=(tok.line, tok.col))
-        return node
+        return self.chain("OR", Or, self.term)
 
     def term(self) -> ExprAst:
-        node = self.factor()
-        while self.peek().kind == "AND":
+        return self.chain("AND", And, self.factor)
+
+    def chain(self, kind: str, node: type[And | Or], operand) -> ExprAst:
+        """``operand (kind operand)*``, the rule behind ``expr`` and
+        ``term``: each ``kind`` token joins the tree so far and the next
+        operand into a ``node`` at that token, so the chain nests to the
+        left."""
+        value = operand()
+        while self.peek().kind == kind:
             tok = self.advance()
-            node = And(node, self.factor(), pos=(tok.line, tok.col))
-        return node
+            value = node(value, operand(), pos=(tok.line, tok.col))
+        return value
 
     def factor(self) -> ExprAst:
         if self.peek().kind == "NOT":
@@ -303,23 +330,33 @@ def parse(text: str) -> ExprAst:
 
 
 def pretty_print(ast: ExprAst) -> str:
-    """Fully parenthesized canonical text; reparsing it reproduces ``ast``."""
-    if isinstance(ast, Ident):
-        return ast.name
-    if isinstance(ast, Not):
-        return f"(NOT {pretty_print(ast.child)})"
-    if isinstance(ast, And):
-        return f"({pretty_print(ast.left)} AND {pretty_print(ast.right)})"
-    if isinstance(ast, Or):
-        return f"({pretty_print(ast.left)} OR {pretty_print(ast.right)})"
-    if isinstance(ast, Fuz):
-        return f"FUZ({ast.index}, {ast.k})"
-    if isinstance(ast, Defuz):
-        return f"DEFUZ({pretty_print(ast.child)})"
-    if isinstance(ast, Superpose):
-        terms = ", ".join(f"{c!r} * {pretty_print(t)}" for c, t in ast.terms)
-        return f"SUPERPOSE({terms})"
-    raise TypeError(f"not an expression node: {ast!r}")
+    """Fully parenthesized canonical text of any tree :func:`parse` returns,
+    overflowing SUPERPOSE coefficients included: an infinite one prints as
+    ``1e999`` or ``-1e999``, which parse back to it.  Reparsing the text
+    reproduces ``ast`` wherever its parentheses nest no deeper than the
+    parser's recursion reaches; each AND or OR adds a level, so the text of
+    a chain of a few hundred operands does not reparse.  The printer is one
+    :func:`_fold`, so a chain of any length prints."""
+
+    def leaf(node: ExprAst) -> str:
+        if isinstance(node, Ident):
+            return node.name
+        if isinstance(node, Fuz):
+            return f"FUZ({node.index}, {node.k})"
+        if isinstance(node, Defuz):
+            return f"DEFUZ({pretty_print(node.child)})"
+        if isinstance(node, Superpose):
+            terms = (f"{_number(c)} * {pretty_print(t)}" for c, t in node.terms)
+            return f"SUPERPOSE({', '.join(terms)})"
+        raise TypeError(f"not an expression node: {node!r}")
+
+    conj, disj = "({} AND {})".format, "({} OR {})".format
+    return _fold(ast, leaf, "(NOT {})".format, conj, disj)
+
+
+def _number(c: float) -> str:
+    """``repr`` of a finite coefficient; a literal for an infinite one."""
+    return {math.inf: "1e999", -math.inf: "-1e999"}.get(c, repr(c))
 
 
 # --- evaluation -----------------------------------------------------------
@@ -369,27 +406,6 @@ def plan(ast: ExprAst, env: Environment) -> int:
     if isinstance(ast, Defuz):
         return env.universe_size * (_width(ast.child, env) + 1)
     return env.universe_size * _width(ast, env)
-
-
-def _fold(node: ExprAst, leaf, negate, conj, disj):
-    """Bottom-up value of ``node``: ``leaf(node)`` at a leaf, ``negate`` at
-    NOT, and ``conj`` or ``disj`` of the left and right values at AND or OR,
-    with children taken left to right.  A left-deep AND/OR chain, which is
-    what the parser makes of ``A AND B AND ...``, is walked in a loop, so
-    its length does not count against the recursion limit."""
-    if isinstance(node, Not):
-        return negate(_fold(node.child, leaf, negate, conj, disj))
-    if not isinstance(node, (And, Or)):
-        return leaf(node)
-    links = []
-    while isinstance(node, (And, Or)):
-        links.append(node)
-        node = node.left
-    value = _fold(node, leaf, negate, conj, disj)
-    for link in reversed(links):
-        right = _fold(link.right, leaf, negate, conj, disj)
-        value = (conj if isinstance(link, And) else disj)(value, right)
-    return value
 
 
 def _width(node: ExprAst, env: Environment) -> int:

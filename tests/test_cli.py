@@ -342,12 +342,22 @@ def test_eval_fault_precedence(capsys, monkeypatch, expression, exit_code, messa
 
 
 @pytest.mark.parametrize(
-    "expression",
-    ["(" * 300 + "A" + ")" * 300, "NOT " * 990 + "A"],
-    ids=["parentheses", "not"],
+    "expression, mode",
+    [
+        ("(" * 300 + "A" + ")" * 300, "classical"),
+        ("NOT " * 990 + "A", "classical"),
+        ("NOT " * 3000 + "A", "classical"),
+        ("NOT " * 3000 + "A", "quantum"),
+        ("(" * 3000 + "A" + ")" * 3000, "classical"),
+        ("(" * 3000 + "A" + ")" * 3000, "quantum"),
+    ],
+    ids=[
+        "parentheses", "not", "not-3000-classical", "not-3000-quantum",
+        "parentheses-3000-classical", "parentheses-3000-quantum",
+    ],
 )
-def test_eval_deeply_nested_expression(capsys, monkeypatch, expression):
-    spec = eval_spec(expression=expression)
+def test_eval_deeply_nested_expression(capsys, monkeypatch, expression, mode):
+    spec = eval_spec(expression=expression, mode=mode)
     code, out, err = run_cli(capsys, monkeypatch, ["eval"], spec)
     assert (code, out) == (4, "")
     assert err == "error: expression nested too deeply\n"
@@ -601,6 +611,38 @@ def test_report_rejects_non_number_amplitudes(capsys, monkeypatch, pair):
          "eval-list", "sets"],
 )
 def test_input_of_the_wrong_shape_is_refused(
+    capsys, monkeypatch, command, document, message
+):
+    code, out, err = run_cli(capsys, monkeypatch, [command], document)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+HUGE_INTEGER = "1" * 400  # json.loads keeps it an int, too large for a float
+
+
+@pytest.mark.parametrize(
+    "command, document, message",
+    [
+        (
+            "encode",
+            f'{{"universe_size": 1, "memberships": [{HUGE_INTEGER}]}}',
+            "memberships must be finite",
+        ),
+        (
+            "eval",
+            eval_spec().replace('"A": [0.5]', f'"A": [{HUGE_INTEGER}]'),
+            "set 'A' must be finite",
+        ),
+        (
+            "report",
+            two_qubit_state().replace("0.5", HUGE_INTEGER, 1),
+            "amplitudes must be finite",
+        ),
+    ],
+    ids=["encode", "eval", "report"],
+)
+def test_integer_too_large_for_a_float_is_refused(
     capsys, monkeypatch, command, document, message
 ):
     code, out, err = run_cli(capsys, monkeypatch, [command], document)

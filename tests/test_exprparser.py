@@ -123,6 +123,39 @@ def test_pretty_print_examples():
     assert pretty_print(Fuz(3, 1)) == "FUZ(3, 1)"
 
 
+def test_nodes_sit_at_their_tokens():
+    ast = parse("A AND\n  NOT B OR FUZ(1, 2)")
+    assert ast.pos == (2, 9)
+    assert ast.left.pos == (1, 3)
+    assert (ast.left.left.pos, ast.left.right.pos) == ((1, 1), (2, 3))
+    assert ast.left.right.child.pos == (2, 7)
+    assert ast.right.pos == (2, 12)
+    assert ast == parse("A AND NOT B OR FUZ(1, 2)")
+    assert hash(ast) == hash(Or(And(Ident("A"), Not(Ident("B"))), Fuz(1, 2)))
+    assert repr(ast.right) == "Fuz(index=1, k=2)"
+
+
+@pytest.mark.parametrize("op", ["AND", "OR"])
+def test_pretty_print_long_chain(op):
+    # the text nests 4999 parentheses, too deep to reparse, and the
+    # dataclass == recurses once per level, so compare with the text itself
+    text = pretty_print(parse(f" {op} ".join(["A"] * 5000)))
+    assert text == "(" * 4999 + "A" + f" {op} A)" * 4999
+
+
+@pytest.mark.parametrize(
+    "text, printed",
+    [
+        ("SUPERPOSE(1e400 * A)", "SUPERPOSE(1e999 * A)"),
+        ("SUPERPOSE(-1e400 * A, 0.5 * B)", "SUPERPOSE(-1e999 * A, 0.5 * B)"),
+    ],
+)
+def test_overflowing_coefficient_prints_as_a_literal_that_reparses(text, printed):
+    ast = parse(text)
+    assert pretty_print(ast) == printed
+    assert parse(printed) == ast
+
+
 # --- classical evaluation ---------------------------------------------------------
 
 
@@ -486,3 +519,20 @@ def test_environment_validation():
         Environment(universe_size=2, bindings={"A": FuzzySet([0.5])})
     with pytest.raises(ValueError, match="trials"):
         Environment(universe_size=1, bindings={}, trials=0)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: Environment(universe_size=0, bindings={}), ValueError,
+         "universe_size must be >= 1, got 0"),
+        (lambda: Environment(universe_size=1, bindings={}, seed=-1), ValueError,
+         "seed must be >= 0, got -1"),
+        (lambda: pretty_print(42), TypeError, "not an expression node: 42"),
+    ],
+    ids=["universe_size", "seed", "pretty_print"],
+)
+def test_library_refusals(make, error, message):
+    with pytest.raises(error) as err:
+        make()
+    assert str(err.value) == message

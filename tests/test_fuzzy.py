@@ -56,6 +56,20 @@ def test_crisp_subset_validation():
     assert CrispSubset("0110").elements == (2, 3)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: FuzzySet([]), "memberships must be a nonempty 1-d array"),
+        (lambda: CrispSubset(""), "bits must be nonempty"),
+    ],
+    ids=["empty_set", "empty_subset"],
+)
+def test_library_refusals(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
 # --- connectives -------------------------------------------------------------
 
 
@@ -387,3 +401,37 @@ def test_com_law_keeps_one_step_temporary():
     m = np.random.default_rng(283).random(n)
     table_bytes = 8 * (n + 1) * (n * (n + 1) // 2 + 1)
     assert peak_bytes(com_law, 1.0 - m, m) <= 2.2 * table_bytes
+
+
+def fourier_com_law(absent, present):
+    """:func:`com_law` by another method: the (count, index-sum) table is the
+    coefficient array of prod_i (absent_i + present_i x y^i), read back from
+    the product's values on a grid of roots of unity by an inverse 2-d DFT
+    (the characteristic-function method for the Poisson-binomial law, with
+    the index sum as a second variable).  The grid is as large as the table,
+    so no coefficient aliases."""
+    n = absent.size
+    counts, sums = n + 1, n * (n + 1) // 2 + 1
+    x = np.exp(-2j * np.pi * np.arange(counts) / counts)[:, None]
+    y = np.exp(-2j * np.pi * np.arange(sums) / sums)[None, :]
+    values = np.ones((counts, sums), dtype=np.complex128)
+    for i, (w0, w1) in enumerate(zip(absent, present), start=1):
+        values *= w0 + w1 * x * y**i
+    p = np.fft.ifft2(values).real
+    count, index_sum = np.indices(p.shape)
+    mass = np.bincount(com_from_sums(count, index_sum).ravel(), weights=p.ravel())
+    return mass[: n + 1]
+
+
+@pytest.mark.parametrize("n", [21, 40, 60])
+def test_com_law_matches_fourier_oracle(n):
+    rng = np.random.default_rng(n)
+    m = rng.random(n)
+    m[rng.random(n) < 0.2] = 0.0
+    m[rng.random(n) < 0.2] = 1.0
+    # membership weights, then generic (absent, present) pairs, whose law
+    # has total mass prod_i (absent_i + present_i) rather than 1
+    for absent, present in ((1.0 - m, m), (rng.random(n), rng.random(n))):
+        scale = np.prod(absent + present)
+        got = com_law(absent, present)
+        assert np.max(np.abs(got - fourier_com_law(absent, present))) <= 1e-12 * scale

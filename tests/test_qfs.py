@@ -822,3 +822,35 @@ def test_defuzzify_equals_u_com_on_padded_register():
     for q in oracle_operands(rng, 2) + oracle_operands(rng, 3)[:2]:
         got = defuzzify(q, np.random.default_rng(17), 1000)
         assert got == reference_defuzzify(q, np.random.default_rng(17), 1000)
+
+
+TWO_QUBITS = RegisterLayout.single("value", 2)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            lambda: fuz_linear(basis_state("01"), -1),
+            "window radius must be >= 0, got -1",
+        ),
+        (
+            lambda: fuz_isometry(encode(FuzzySet([0.5])), -1),
+            "window radius must be >= 0, got -1",
+        ),
+        (lambda: RegisterLayout(()), "layout needs at least one segment"),
+        (
+            lambda: RegisterLayout((("value", 1, 0),)),
+            "segment 'value' must have length >= 1",
+        ),
+        (
+            lambda: QuantumFuzzySet(basis_state("0"), TWO_QUBITS),
+            "layout covers 2 qubits but the state has 1",
+        ),
+    ],
+    ids=["fuz_linear", "fuz_isometry", "no_segments", "empty_segment", "layout_size"],
+)
+def test_library_refusals(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message

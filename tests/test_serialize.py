@@ -186,3 +186,35 @@ def test_qfs_from_dict_renormalizes_rounded_input():
     }
     q = serialize.qfs_from_dict(d, DEFAULT_QUBIT_CAP)
     assert abs(q.state.norm() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (
+            lambda: serialize.dumps({1: 2}),
+            TypeError,
+            "object keys must be strings, got 1",
+        ),
+        (
+            lambda: serialize.crisp_subset_from_dict(["01"]),
+            ValueError,
+            "crisp subset must be a JSON object, got list",
+        ),
+        (
+            lambda: serialize.crisp_subset_from_dict({"universe_size": 2, "bits": 10}),
+            ValueError,
+            "bits must be a string",
+        ),
+        (
+            lambda: serialize.crisp_subset_from_dict({"universe_size": 3, "bits": "0"}),
+            ValueError,
+            "universe_size 3 does not match 1 bits",
+        ),
+    ],
+    ids=["key_type", "subset_type", "bits_type", "subset_size"],
+)
+def test_library_refusals(make, error, message):
+    with pytest.raises(error) as err:
+        make()
+    assert str(err.value) == message

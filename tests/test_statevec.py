@@ -24,6 +24,7 @@ from qfuzzy.statevec import (
     apply_single,
     basis_probability,
     basis_state,
+    bits_to_index,
     bloch_point,
     factor_product_state,
     ground_state,
@@ -512,3 +513,42 @@ def test_apply_controlled_matches_explicit_matrix():
         s = random_state(rng, n)
         got = apply_controlled(s, gate, controls, target)
         assert np.max(np.abs(got.amplitudes - full @ s.amplitudes)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: StateVector(0, np.ones(1)), "n_qubits must be >= 1, got 0"),
+        (lambda: ground_state(0), "n_qubits must be >= 1, got 0"),
+        (lambda: basis_state(""), "bitstring must be nonempty"),
+        (
+            lambda: bits_to_index(2, "0x"),
+            "bitstring may contain only '0' and '1', got '0x'",
+        ),
+        (
+            lambda: apply_single(basis_state("0"), np.eye(3), 1),
+            "single-qubit gate must be 2x2, got shape (3, 3)",
+        ),
+        (
+            lambda: measure_qubits(BELL, [], np.random.default_rng(0)),
+            "at least one target qubit is required",
+        ),
+        (
+            lambda: measure_qubits(BELL, [1, 1], np.random.default_rng(0)),
+            "measurement targets must be distinct, got [1, 1]",
+        ),
+        (lambda: bloch_point(BELL), "bloch_point needs a single qubit, got 2"),
+        (
+            lambda: bloch_point(StateVector(1, np.array([1.0, 1.0]))),
+            "bloch_point needs a normalized state",
+        ),
+    ],
+    ids=[
+        "no_qubits", "ground_state", "empty_bits", "bad_bit", "gate_shape",
+        "no_targets", "repeated_target", "bloch_two_qubits", "bloch_unnormalized",
+    ],
+)
+def test_library_refusals(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
