@@ -20,7 +20,7 @@ from qfuzzy import (
 )
 
 f = FuzzySet([0.3, 0.6])
-print("memberships:", f.memberships)
+print("memberships:", np.array(f.memberships))
 
 q = encode(f)
 print("\nregister amplitudes (index order 00, 01, 10, 11):")

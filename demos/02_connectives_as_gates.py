@@ -25,18 +25,18 @@ g = FuzzySet([0.5, 0.4, 0.3])
 
 print("NOT as a gate vs classical complement:")
 print("  gate     :", np.round(value_marginals(qnot(encode(f))), 6))
-print("  classical:", complement(f).memberships)
+print("  classical:", np.array(complement(f).memberships))
 
 print("\nAND via Toffolis vs pointwise product:")
 conj = qand(encode(f), encode(g))
 print("  register layout:", conj.layout.segments)
 print("  output marginals:", np.round(value_marginals(conj), 6))
-print("  classical       :", intersect(f, g).memberships)
+print("  classical       :", np.array(intersect(f, g).memberships))
 
 print("\nOR by De Morgan vs probabilistic sum:")
 disj = qor(encode(f), encode(g))
 print("  output marginals:", np.round(value_marginals(disj), 6))
-print("  classical       :", union(f, g).memberships)
+print("  classical       :", np.array(union(f, g).memberships))
 
 print("\nconnectives chain; the register keeps its inputs and keeps growing:")
 chained = qand(conj, encode(FuzzySet([0.9, 0.9, 0.9])))

@@ -24,7 +24,7 @@ from qfuzzy import (
 )
 
 print("classical square window, index 3, radius 1, universe 5:")
-print(" ", classical_fuzzify(3, 1, 5).memberships)
+print(" ", np.array(classical_fuzzify(3, 1, 5).memberships))
 
 print("\nthe same window as a register map on |00100>:")
 fuzzed = fuz_linear(basis_state("00100"), 1)

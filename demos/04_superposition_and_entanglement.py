@@ -49,7 +49,7 @@ print("  ranks:", entanglement_report(bell).per_qubit_schmidt_ranks)
 print("\nunentangled states rotate back to a classical shape:")
 phased = encode(FuzzySet([0.2, 0.8]))
 report = entanglement_report(phased)
-print("  recovered memberships:", report.canonical_fuzzy_set.memberships)
+print("  recovered memberships:", np.array(report.canonical_fuzzy_set.memberships))
 print("  per-qubit phases:", report.phases)
 factors = factor_product_state(phased.state)
 print("  per-qubit points on the sphere:")

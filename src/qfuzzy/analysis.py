@@ -5,11 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .fuzzy import FuzzySet, common_universe, oracle_distribution
 from .qfs import ColumnSet, QuantumFuzzySet, encode
 from .statevec import StateVector, _qubit_split, check_shots, sample_distribution
+
+np = lazy_import("numpy")
 
 #: Phases below this magnitude are reported as exactly 0.
 PHASE_SNAP_TOL = 1e-10
@@ -50,7 +51,7 @@ def cfs_inner(f: FuzzySet, g: FuzzySet) -> float:
     """Closed-form inner product of two encoded fuzzy sets:
     the product over i of sqrt(f(i)g(i)) + sqrt((1-f(i))(1-g(i)))."""
     common_universe(f, g)
-    fm, gm = f.memberships, g.memberships
+    fm, gm = np.asarray(f.memberships), np.asarray(g.memberships)
     return float(np.prod(np.sqrt(fm * gm) + np.sqrt((1.0 - fm) * (1.0 - gm))))
 
 

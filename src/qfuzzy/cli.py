@@ -11,9 +11,8 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import serialize
+from ._lazy import lazy_import
 from .analysis import EntanglementReport, column_report, entanglement_report
 from .errors import ResourceLimitError, _brief
 from .exprparser import Environment, EvalError, ParseError, evaluate, parse
@@ -28,6 +27,8 @@ from .qfs import (
     value_marginals,
 )
 from .statevec import DEFAULT_QUBIT_CAP, bloch_point, sample_distribution
+
+np = lazy_import("numpy")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -118,7 +119,7 @@ def _cmd_eval(args: argparse.Namespace) -> str:
         payload = {
             "mode": "classical",
             "universe_size": result.universe_size,
-            "memberships": [float(m) for m in result.memberships],
+            "memberships": list(result.memberships),
         }
     elif isinstance(result, ColumnSet):
         payload = _quantum_payload(

@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 from operator import or_
 from typing import Mapping, Union
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import _brief
 from .fuzzy import (
     FuzzySet,
@@ -58,6 +57,8 @@ from .statevec import (
     check_shots,
     draw_counts,
 )
+
+np = lazy_import("numpy")
 
 
 class ParseError(Exception):
@@ -555,7 +556,7 @@ def _born_weights(node: ExprAst, env: Environment) -> np.ndarray:
     """
 
     def leaf(node: Ident | Fuz) -> np.ndarray:
-        m = _leaf(node, env).memberships
+        m = np.asarray(_leaf(node, env).memberships)
         return np.stack((1.0 - m, m))
 
     def negate(w: np.ndarray) -> np.ndarray:

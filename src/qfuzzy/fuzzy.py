@@ -8,10 +8,13 @@ the register convention of :mod:`qfuzzy.statevec`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
-import numpy as np
+from ._lazy import lazy_import
+
+np = lazy_import("numpy")
 
 #: Universes above this size are refused by exhaustive enumeration and by
 #: :func:`com_pushforward`.
@@ -21,25 +24,32 @@ MAX_ENUM_UNIVERSE = 20
 @dataclass(frozen=True, eq=False)
 class FuzzySet:
     """Membership values in [0, 1], one per universe element (element i at
-    position i-1)."""
+    position i-1), held as a tuple of floats.  The set is immutable: it
+    copies the sequence or 1-d array it is given, so later writes to that
+    input do not reach it."""
 
-    memberships: np.ndarray
+    memberships: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.memberships, dtype=np.float64)
-        if m.ndim != 1 or m.size == 0:
+        values = self.memberships
+        m = ()
+        if getattr(values, "ndim", 1) == 1:  # an array must be 1-d
+            try:
+                m = tuple(map(float, values))
+            except TypeError:  # a scalar, or a nested sequence
+                pass
+        if not m:
             raise ValueError("memberships must be a nonempty 1-d array")
-        if not np.all(np.isfinite(m)):
+        if not all(map(math.isfinite, m)):
             raise ValueError("memberships must be finite")
-        if np.any(m < 0.0) or np.any(m > 1.0):
-            raise ValueError(
-                f"memberships must lie in [0, 1], got {m[(m < 0) | (m > 1)][0]}"
-            )
+        if min(m) < 0.0 or max(m) > 1.0:
+            bad = next(x for x in m if not 0.0 <= x <= 1.0)
+            raise ValueError(f"memberships must lie in [0, 1], got {bad}")
         object.__setattr__(self, "memberships", m)
 
     @property
     def universe_size(self) -> int:
-        return int(self.memberships.size)
+        return len(self.memberships)
 
 
 @dataclass(frozen=True)
@@ -75,19 +85,19 @@ def common_universe(a, b) -> int:
 
 def complement(f: FuzzySet) -> FuzzySet:
     """Pointwise 1 - f(i)."""
-    return FuzzySet(1.0 - f.memberships)
+    return FuzzySet([1.0 - a for a in f.memberships])
 
 
 def intersect(f: FuzzySet, g: FuzzySet) -> FuzzySet:
     """Pointwise product f(i) * g(i)."""
     common_universe(f, g)
-    return FuzzySet(f.memberships * g.memberships)
+    return FuzzySet([a * b for a, b in zip(f.memberships, g.memberships)])
 
 
 def union(f: FuzzySet, g: FuzzySet) -> FuzzySet:
     """Pointwise f(i) + g(i) - f(i)g(i), the De Morgan dual of intersect."""
     common_universe(f, g)
-    return FuzzySet(f.memberships + g.memberships - f.memberships * g.memberships)
+    return FuzzySet([a + b - a * b for a, b in zip(f.memberships, g.memberships)])
 
 
 def classical_fuzzify(crisp_index: int, k: int, universe_size: int) -> FuzzySet:
@@ -99,11 +109,10 @@ def classical_fuzzify(crisp_index: int, k: int, universe_size: int) -> FuzzySet:
         )
     if k < 0:
         raise ValueError(f"window radius must be >= 0, got {k}")
-    m = np.zeros(universe_size)
     lo = max(1, crisp_index - k)
     hi = min(universe_size, crisp_index + k)
-    m[lo - 1 : hi] = 0.5
-    return FuzzySet(m)
+    inside = range(lo, hi + 1)
+    return FuzzySet([0.5 if i in inside else 0.0 for i in range(1, universe_size + 1)])
 
 
 def _bits_of(bits: CrispSubset | str) -> str:
@@ -134,7 +143,8 @@ def crisp_subset_probability(f: FuzzySet, s: CrispSubset) -> float:
     the product of f(i) over members and 1 - f(i) over non-members."""
     common_universe(f, s)
     inside = np.array([c == "1" for c in s.bits])
-    return float(np.prod(np.where(inside, f.memberships, 1.0 - f.memberships)))
+    m = np.asarray(f.memberships)
+    return float(np.prod(np.where(inside, m, 1.0 - m)))
 
 
 def oracle_distribution(f: FuzzySet) -> dict[str, float]:
@@ -193,6 +203,6 @@ def com_pushforward(f: FuzzySet) -> dict[int, float]:
             f"universe of size {n} exceeds the classical DEFUZ limit of "
             f"{MAX_ENUM_UNIVERSE}"
         )
-    m = f.memberships
+    m = np.asarray(f.memberships)
     mass = com_law(1.0 - m, m)
     return {int(k): float(mass[k]) for k in np.flatnonzero(mass > 0.0)}

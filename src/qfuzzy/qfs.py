@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import _brief
 from .fuzzy import FuzzySet, CrispSubset, com_from_sums, common_universe
 from .statevec import (
@@ -26,6 +25,8 @@ from .statevec import (
     check_shots,
     draw_counts,
 )
+
+np = lazy_import("numpy")
 
 VALUE_SEGMENT = "value"
 
@@ -209,7 +210,7 @@ def expansion_coeff(f: FuzzySet, s: CrispSubset) -> float:
     the product of sqrt(f(i)) over members and sqrt(1-f(i)) over the rest."""
     common_universe(f, s)
     inside = np.array([c == "1" for c in s.bits])
-    m = f.memberships
+    m = np.asarray(f.memberships)
     return float(np.prod(np.where(inside, np.sqrt(m), np.sqrt(1.0 - m))))
 
 
@@ -516,7 +517,7 @@ def value_marginals(q: QuantumFuzzySet) -> np.ndarray:
 def encode_columns(f: FuzzySet) -> ColumnSet:
     """:func:`encode` as columns: element i's column is its one qubit
     sqrt(1-f(i))|0> + sqrt(f(i))|1>."""
-    amps = _product_amplitudes(f.memberships[:, None])
+    amps = _product_amplitudes(np.asarray(f.memberships)[:, None])
     return ColumnSet(amps, RegisterLayout.single(VALUE_SEGMENT, 1))
 
 

@@ -12,13 +12,14 @@ import json
 from itertools import chain
 from typing import Any, Iterable, Mapping
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .analysis import EntanglementReport
 from .errors import _brief
 from .fuzzy import CrispSubset, FuzzySet
 from .qfs import VALUE_SEGMENT, QuantumFuzzySet, RegisterLayout
 from .statevec import StateVector, check_register_cap
+
+np = lazy_import("numpy")
 
 
 def format_real(x: float) -> str:
@@ -34,8 +35,9 @@ def _complex_pairs(amps: np.ndarray) -> str:
 
 
 def _emit(obj: Any, out: list[str]) -> None:
-    # the concrete types come first: the Mapping ABC check is slow
-    if isinstance(obj, (float, np.floating)):
+    # the built-in types come first, so that a document of them never reads
+    # ``np`` (which would load numpy), and the slow Mapping ABC check last
+    if isinstance(obj, float):
         out.append(format_real(obj))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
@@ -52,23 +54,33 @@ def _emit(obj: Any, out: list[str]) -> None:
         out.append("false")
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         out.append(str(int(obj)))
-    elif isinstance(obj, (dict, Mapping)):
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            if not isinstance(key, str):
-                raise TypeError(f"object keys must be strings, got {key!r}")
-            out.append(json.dumps(key))
-            out.append(": ")
-            _emit(value, out)
-        out.append("}")
+    elif isinstance(obj, dict):
+        _emit_object(obj, out)
+    elif isinstance(obj, np.floating):
+        out.append(format_real(obj))
+    elif isinstance(obj, np.integer):
+        out.append(str(int(obj)))
+    elif isinstance(obj, Mapping):
+        _emit_object(obj, out)
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.complex128:
         out.append(_complex_pairs(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _emit_object(obj: Mapping, out: list[str]) -> None:
+    out.append("{")
+    for i, (key, value) in enumerate(obj.items()):
+        if i:
+            out.append(", ")
+        if not isinstance(key, str):
+            raise TypeError(f"object keys must be strings, got {key!r}")
+        out.append(json.dumps(key))
+        out.append(": ")
+        _emit(value, out)
+    out.append("}")
 
 
 def dumps(obj: Any) -> str:
@@ -101,12 +113,15 @@ def _floats(values: Iterable, count: int, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be finite") from None
 
 
-def json_numbers(values: Any, what: str) -> np.ndarray:
+def json_numbers(values: Any, what: str) -> tuple[float, ...]:
     """A JSON array of numbers (ints or floats, not bools or strings) as a
-    float64 array."""
+    tuple of floats, each int rounded to the nearest float."""
     if not (isinstance(values, (list, tuple)) and _all_json_numbers(values)):
         raise ValueError(f"{what} must be an array of JSON numbers")
-    return _floats(values, len(values), what)
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        raise ValueError(f"{what} must be finite") from None
 
 
 def _require(d: Mapping, key: str, what: str) -> Any:
@@ -118,7 +133,7 @@ def _require(d: Mapping, key: str, what: str) -> Any:
 def fuzzy_set_to_dict(f: FuzzySet) -> dict:
     return {
         "universe_size": f.universe_size,
-        "memberships": [float(m) for m in f.memberships],
+        "memberships": list(f.memberships),
     }
 
 

@@ -17,9 +17,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import ResourceLimitError, _brief
+
+np = lazy_import("numpy")
 
 #: Largest register allocated by default (2**24 amplitudes).
 DEFAULT_QUBIT_CAP = 24
@@ -34,8 +35,9 @@ EXACT_TOL = 1e-12
 #: count as an int64.
 MAX_SHOTS = 2**63 - 1
 
-IDENTITY = np.eye(2, dtype=np.complex128)
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+#: Single-qubit gates as nested tuples, which every gate argument accepts.
+IDENTITY = ((1.0, 0.0), (0.0, 1.0))
+PAULI_X = ((0.0, 1.0), (1.0, 0.0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -96,7 +96,7 @@ def test_criterion_03_and_probability_law():
         n = int(rng.integers(1, 7))
         f, g = random_fuzzy(rng, n), random_fuzzy(rng, n)
         out = qand(encode(f), encode(g))
-        expected = f.memberships * g.memberships
+        expected = np.asarray(f.memberships) * g.memberships
         assert np.max(np.abs(value_marginals(out) - expected)) <= 1e-12
     half = FuzzySet([0.5])
     got = value_marginals(qand(encode(half), encode(half)))[0]

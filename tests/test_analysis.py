@@ -132,7 +132,7 @@ def test_report_round_trips_encoded_set():
     report = entanglement_report(encode(f))
     assert report.is_product
     assert report.per_qubit_schmidt_ranks == (1, 1, 1, 1)
-    assert np.max(np.abs(report.canonical_fuzzy_set.memberships - f.memberships)) <= 1e-12
+    assert np.max(np.abs(np.asarray(report.canonical_fuzzy_set.memberships) - f.memberships)) <= 1e-12
     assert report.phases == (0.0, 0.0, 0.0, 0.0)
 
 

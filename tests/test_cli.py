@@ -1,13 +1,21 @@
+import importlib.util
+import itertools
 import json
 import math
+import os
+import random
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import peak_bytes
 
+import qfuzzy
 from qfuzzy.cli import main
 from qfuzzy.exprparser import Environment, eval_classical, parse
 from qfuzzy.fuzzy import FuzzySet
@@ -887,3 +895,77 @@ def test_superpose_free_eval_past_any_register(tmp_path, capsys):
     np.testing.assert_allclose(
         payload["value_marginals"], classical, rtol=0, atol=1e-12
     )
+
+
+# --- start-up -----------------------------------------------------------------
+
+#: Imports qfuzzy, runs ``main`` on its arguments if there are any, and ends
+#: stderr with the exit code and whether numpy was executed.
+_NUMPY_PROBE = """
+import sys
+import qfuzzy
+code = None
+if sys.argv[1:]:
+    from qfuzzy.cli import main
+    code = main(sys.argv[1:])
+print(code, "numpy._core" in sys.modules, file=sys.stderr)
+"""
+
+
+def _workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _workloads()
+
+
+def _malformed(kind):
+    """The first seed's malformed classical spec of this kind."""
+    for seed in itertools.count():
+        spec = WORKLOADS._malformed(random.Random(seed), 8)
+        if spec["expect"]["malformed"] == kind:
+            return ["eval"], spec["input"], spec["expect"]["exit"], False
+
+
+PROBE_SETS = {"A": [0.5, 0.25, 1.0], "B": [0.0, 0.75, 0.5]}
+
+
+def _probe_spec(**overrides):
+    return eval_spec(universe_size=3, sets=PROBE_SETS, **overrides)
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, exit_code, loads_numpy",
+    [
+        ([], "", None, False),
+        (["eval"], '{"universe_size": 1, "sets": {"A": [0.5]}, "expression": "A"}', 0, False),
+        (["eval"], _probe_spec(expression="NOT A AND (B OR FUZ(2, 1))"), 0, False),
+        *[_malformed(kind) for kind in WORKLOADS._MALFORMED],
+        (["eval"], _probe_spec(mode="quantum", qubit_cap=8), 3, False),
+        (["eval"], _probe_spec(mode="quantum"), 0, True),
+        (["eval"], _probe_spec(expression="DEFUZ(A OR B)"), 0, True),
+    ],
+    ids=[
+        "import", "one_element", "connectives",
+        *[f"malformed_{kind}" for kind in WORKLOADS._MALFORMED],
+        "quantum_over_cap", "quantum", "classical_defuz",
+    ],
+)
+def test_numpy_loads_only_where_arrays_are_used(argv, stdin, exit_code, loads_numpy):
+    """A fresh interpreter executes numpy only for a register, a DEFUZ law
+    or a sample: not for an import, a classical set expression, or a spec
+    refused before any register is built."""
+    src = Path(qfuzzy.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.stderr.splitlines()[-1] == f"{exit_code} {loads_numpy}"

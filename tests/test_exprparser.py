@@ -451,7 +451,7 @@ def test_defuz_past_classical_limit_with_raised_cap(tmp_path, capsys):
     f = _crisp_heavy(rng, 21)
     spec = {
         "universe_size": 21,
-        "sets": {"A": f.memberships.tolist()},
+        "sets": {"A": np.asarray(f.memberships).tolist()},
         "expression": "DEFUZ(A)",
         "mode": "quantum",
         "seed": 9,

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -70,7 +71,83 @@ def test_library_refusals(make, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        (np.full((2, 2), 0.5), "memberships must be a nonempty 1-d array"),
+        (np.array(0.5), "memberships must be a nonempty 1-d array"),
+        ([[0.5], [0.5]], "memberships must be a nonempty 1-d array"),
+        (0.5, "memberships must be a nonempty 1-d array"),
+        (np.array([0.5, np.inf]), "memberships must be finite"),
+        ([0.5, 1.0000000000000002, -1e-300], "memberships must lie in [0, 1], got 1.0000000000000002"),
+        ((0.25, -1e-300, 2.0), "memberships must lie in [0, 1], got -1e-300"),
+    ],
+    ids=["2d_array", "0d_array", "nested_list", "scalar", "inf", "over_one", "under_zero"],
+)
+def test_membership_refusals_name_the_shape_or_the_first_bad_value(values, message):
+    with pytest.raises(ValueError) as err:
+        FuzzySet(values)
+    assert str(err.value) == message
+
+
+def test_set_does_not_follow_its_source():
+    source = np.array([0.5, 0.2])
+    f = FuzzySet(source)
+    source[0] = 7.0
+    assert f.memberships == (0.5, 0.2)
+    with pytest.raises(TypeError):
+        f.memberships[1] = math.nan
+    assert f.memberships == (0.5, 0.2)
+
+
 # --- connectives -------------------------------------------------------------
+
+#: 0 and 1, one ulp from each, subnormals and the smallest normal.
+EDGE_MEMBERSHIPS = [
+    0.0,
+    1.0,
+    math.nextafter(0.0, 1.0),
+    math.nextafter(1.0, 0.0),
+    3 * math.ulp(0.0),
+    math.nextafter(2.2250738585072014e-308, 0.0),
+    2.2250738585072014e-308,
+    0.5,
+]
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+_edge_or_any = st.floats(0.0, 1.0) | st.sampled_from(EDGE_MEMBERSHIPS)
+
+
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.tuples(
+            st.lists(_edge_or_any, min_size=n, max_size=n),
+            st.lists(_edge_or_any, min_size=n, max_size=n),
+        )
+    )
+)
+def test_connectives_keep_the_bits_of_the_array_arithmetic(pair):
+    """The element-wise Python connectives against the numpy expressions
+    they replaced, bit for bit."""
+    f, g = np.array(pair[0]), np.array(pair[1])
+    a, b = FuzzySet(pair[0]), FuzzySet(pair[1])
+    assert _bits(complement(a).memberships) == _bits(1.0 - f)
+    assert _bits(intersect(a, b).memberships) == _bits(f * g)
+    assert _bits(union(a, b).memberships) == _bits(f + g - f * g)
+
+
+def test_fuzzify_keeps_the_bits_of_the_array_window():
+    for n in range(1, 10):
+        for index in range(1, n + 1):
+            for k in range(n + 2):
+                window = np.zeros(n)
+                window[max(1, index - k) - 1 : min(n, index + k)] = 0.5
+                got = classical_fuzzify(index, k, n).memberships
+                assert _bits(got) == _bits(window), (n, index, k)
 
 
 def test_complement_crisp():
@@ -90,7 +167,7 @@ def test_complement_values():
 def test_complement_involution(values):
     f = FuzzySet(values)
     twice = complement(complement(f))
-    assert np.max(np.abs(twice.memberships - f.memberships)) <= 1e-15
+    assert np.max(np.abs(np.asarray(twice.memberships) - f.memberships)) <= 1e-15
 
 
 def test_intersect_identity_element():
@@ -116,7 +193,7 @@ def test_intersect_size_mismatch():
 def test_intersect_commutative_and_annihilated(pair):
     f, g = FuzzySet(pair[0]), FuzzySet(pair[1])
     assert np.max(
-        np.abs(intersect(f, g).memberships - intersect(g, f).memberships)
+        np.abs(np.asarray(intersect(f, g).memberships) - intersect(g, f).memberships)
     ) <= 1e-12
     zero = FuzzySet(np.zeros(f.universe_size))
     assert np.max(np.abs(intersect(f, zero).memberships)) <= 1e-12
@@ -128,7 +205,7 @@ def test_intersect_associative(pair):
     h = complement(f)
     left = intersect(intersect(f, g), h)
     right = intersect(f, intersect(g, h))
-    assert np.max(np.abs(left.memberships - right.memberships)) <= 1e-12
+    assert np.max(np.abs(np.asarray(left.memberships) - right.memberships)) <= 1e-12
 
 
 def test_union_empty_sets():
@@ -149,7 +226,7 @@ def test_union_de_morgan(pair):
     f, g = FuzzySet(pair[0]), FuzzySet(pair[1])
     via_de_morgan = complement(intersect(complement(f), complement(g)))
     assert np.max(
-        np.abs(union(f, g).memberships - via_de_morgan.memberships)
+        np.abs(np.asarray(union(f, g).memberships) - via_de_morgan.memberships)
     ) <= 1e-12
 
 

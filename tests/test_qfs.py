@@ -198,7 +198,7 @@ def test_qand_marginal_law_randomized():
         n = int(rng.integers(1, 7))
         f, g = random_fuzzy(rng, n), random_fuzzy(rng, n)
         out = qand(encode(f), encode(g))
-        expected = f.memberships * g.memberships
+        expected = np.asarray(f.memberships) * g.memberships
         assert np.max(np.abs(value_marginals(out) - expected)) <= 1e-12
 
 
@@ -206,7 +206,7 @@ def test_qand_chains_keep_growing():
     f, g, h = FuzzySet([0.5, 0.8]), FuzzySet([0.4, 0.5]), FuzzySet([0.9, 0.25])
     out = qand(qand(encode(f), encode(g)), encode(h))
     assert out.state.n_qubits == 10
-    expected = f.memberships * g.memberships * h.memberships
+    expected = np.asarray(f.memberships) * g.memberships * h.memberships
     assert np.max(np.abs(value_marginals(out) - expected)) <= 1e-12
 
 
@@ -495,7 +495,7 @@ def test_qnot_on_grown_register_flips_only_value():
     grown = qand(encode(f), encode(g))
     flipped = qnot(grown)
     assert flipped.layout == grown.layout
-    expected = 1.0 - f.memberships * g.memberships
+    expected = 1.0 - np.asarray(f.memberships) * g.memberships
     assert np.max(np.abs(value_marginals(flipped) - expected)) <= 1e-12
 
 

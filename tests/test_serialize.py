@@ -80,6 +80,20 @@ def test_fuzzy_set_round_trip():
     assert np.array_equal(back.memberships, f.memberships)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [[2**53 + 1], [10**308], [0], [1e-320], [0, 2**53 + 1, 10**308, 1e-320, 0.5]],
+    ids=["2**53+1", "10**308", "int_zero", "subnormal", "mixed"],
+)
+def test_json_numbers_reads_each_int_as_its_nearest_float(values):
+    """The floats the JSON numbers read as: those numpy's conversion
+    (``np.fromiter``) gives, bit for bit."""
+    got = serialize.json_numbers(values, "x")
+    want = np.fromiter(values, np.float64, len(values))
+    assert type(got) is tuple and all(type(v) is float for v in got)
+    assert np.array_equal(np.array(got).view(np.uint64), want.view(np.uint64))
+
+
 def test_fuzzy_set_from_dict_validation():
     with pytest.raises(ValueError, match="missing"):
         serialize.fuzzy_set_from_dict({"memberships": [0.5]})
