@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import tracemalloc
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +23,16 @@ def peak_bytes(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def perfbench_workloads():
+    """The benchmark's spec generator, ``perfbench/workloads.py``, loaded by
+    path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:

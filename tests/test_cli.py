@@ -1,4 +1,3 @@
-import importlib.util
 import itertools
 import json
 import math
@@ -13,12 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import peak_bytes
+from helpers import peak_bytes, perfbench_workloads
 
 import qfuzzy
 from qfuzzy.cli import main
 from qfuzzy.exprparser import Environment, eval_classical, parse
-from qfuzzy.fuzzy import FuzzySet
+from qfuzzy.fuzzy import MAX_ENUM_UNIVERSE, FuzzySet
 
 
 def run_cli(capsys, monkeypatch, argv, stdin=""):
@@ -912,15 +911,7 @@ print(code, "numpy._core" in sys.modules, file=sys.stderr)
 """
 
 
-def _workloads():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-WORKLOADS = _workloads()
+WORKLOADS = perfbench_workloads()
 
 
 def _malformed(kind):
@@ -947,18 +938,25 @@ def _probe_spec(**overrides):
         *[_malformed(kind) for kind in WORKLOADS._MALFORMED],
         (["eval"], _probe_spec(mode="quantum", qubit_cap=8), 3, False),
         (["eval"], _probe_spec(mode="quantum"), 0, True),
-        (["eval"], _probe_spec(expression="DEFUZ(A OR B)"), 0, True),
+        (["eval"], _probe_spec(mode="quantum", expression="DEFUZ(A AND B)"), 0, True),
+        (["eval"], _probe_spec(expression="DEFUZ(A OR B)"), 0, False),
+        (["eval"], eval_spec(
+            universe_size=MAX_ENUM_UNIVERSE,
+            sets={"A": [i / MAX_ENUM_UNIVERSE for i in range(MAX_ENUM_UNIVERSE)]},
+            expression="DEFUZ(NOT A)",
+        ), 0, False),
     ],
     ids=[
         "import", "one_element", "connectives",
         *[f"malformed_{kind}" for kind in WORKLOADS._MALFORMED],
-        "quantum_over_cap", "quantum", "classical_defuz",
+        "quantum_over_cap", "quantum", "quantum_defuz", "classical_defuz",
+        "classical_defuz_at_limit",
     ],
 )
 def test_numpy_loads_only_where_arrays_are_used(argv, stdin, exit_code, loads_numpy):
-    """A fresh interpreter executes numpy only for a register, a DEFUZ law
-    or a sample: not for an import, a classical set expression, or a spec
-    refused before any register is built."""
+    """A fresh interpreter executes numpy only for a register, a quantum
+    DEFUZ law or a sample: not for an import, a classical expression (DEFUZ
+    included), or a spec refused before any register is built."""
     src = Path(qfuzzy.__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_PROBE, *argv],

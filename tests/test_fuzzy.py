@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import peak_bytes
 
 from qfuzzy.fuzzy import (
+    MAX_ENUM_UNIVERSE,
     CrispSubset,
     FuzzySet,
     classical_fuzzify,
@@ -434,6 +435,44 @@ def test_com_pushforward_does_not_enumerate(monkeypatch):
     f = FuzzySet(np.linspace(0.05, 0.95, 20))
     dist = com_pushforward(f)
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def assert_bits_equal_com_law(values):
+    """:func:`com_pushforward` is :func:`com_law` of (1 - m, m) bit for bit:
+    the same indices, in order, and the same floats."""
+    m = np.array(values, dtype=float)
+    expected = {k: float(x).hex() for k, x in enumerate(com_law(1.0 - m, m)) if x > 0}
+    got = com_pushforward(FuzzySet(values))
+    assert list(got) == list(expected)
+    assert {k: x.hex() for k, x in got.items()} == expected
+
+
+EDGE_MEMBERSHIPS = [0.0, 1.0, 1e-300, 5e-324, 1 - 2**-53]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from(EDGE_MEMBERSHIPS),
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        ),
+        min_size=1,
+        max_size=MAX_ENUM_UNIVERSE,
+    )
+)
+def test_com_pushforward_bits_equal_com_law(values):
+    assert_bits_equal_com_law(values)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ENUM_UNIVERSE + 1))
+def test_com_pushforward_bits_equal_com_law_pinned(n):
+    rng = np.random.default_rng(300 + n)
+    m = rng.random(n)
+    edge = rng.random(n) < 0.3
+    m[edge] = rng.choice(EDGE_MEMBERSHIPS, edge.sum())
+    assert_bits_equal_com_law(m.tolist())
+    assert_bits_equal_com_law((EDGE_MEMBERSHIPS * n)[:n])
 
 
 def reference_com_law(absent, present):
