@@ -44,11 +44,12 @@ def _read_input(path: str | None) -> str:
 
 
 def _write_output(path: str | None, text: str) -> None:
+    # two writes, so the output text is not copied to append the newline
     if path is None or path == "-":
-        sys.stdout.write(text + "\n")
+        sys.stdout.writelines((text, "\n"))
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.writelines((text, "\n"))
 
 
 def _load_json(text: str) -> object:

@@ -17,6 +17,7 @@ from ._lazy import lazy_import
 from .errors import _brief
 from .fuzzy import FuzzySet, CrispSubset, com_from_sums, common_universe
 from .statevec import (
+    AMP_SLICE,
     DEFAULT_QUBIT_CAP,
     NORM_TOL,
     StateVector,
@@ -457,6 +458,14 @@ def defuzzify(
     return draw_counts(index_probs, rng, trials)
 
 
+def _add_scaled(vec: np.ndarray, coef: complex, term: np.ndarray) -> None:
+    """``vec += coef * term`` a slice of :data:`AMP_SLICE` amplitudes at a
+    time, with the same element operations, so the scaled term is never a
+    whole register; ``term`` is freed as soon as the caller drops it."""
+    for lo in range(0, len(vec), AMP_SLICE):
+        vec[lo : lo + AMP_SLICE] += coef * term[lo : lo + AMP_SLICE]
+
+
 def superpose(
     terms: Iterable[tuple[complex, FuzzySet]],
     cap: int = DEFAULT_QUBIT_CAP,
@@ -489,7 +498,7 @@ def superpose(
     vec = np.zeros(1 << n, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         for c, f in terms:
-            vec += complex(c) / scale * _product_amplitudes(f.memberships)
+            _add_scaled(vec, complex(c) / scale, _product_amplitudes(f.memberships))
         norm = float(np.linalg.norm(vec))
         weight = float(np.abs([complex(c) / scale for c, _ in terms]).sum())
     if not math.isfinite(norm):
@@ -498,8 +507,9 @@ def superpose(
         raise ValueError(
             f"superposition cancelled completely (norm {norm * scale:.3e})"
         )
+    np.divide(vec, norm, out=vec)
     return QuantumFuzzySet(
-        StateVector(n, vec / norm),
+        StateVector(n, vec),
         RegisterLayout.single(VALUE_SEGMENT, n),
         pre_norm=norm * scale,
     )

@@ -17,7 +17,7 @@ from .analysis import EntanglementReport
 from .errors import _brief
 from .fuzzy import CrispSubset, FuzzySet
 from .qfs import VALUE_SEGMENT, QuantumFuzzySet, RegisterLayout
-from .statevec import StateVector, check_register_cap
+from .statevec import AMP_SLICE, StateVector, check_register_cap
 
 np = lazy_import("numpy")
 
@@ -26,12 +26,27 @@ def format_real(x: float) -> str:
     return format(float(x) + 0.0, ".17g")  # +0.0 folds -0.0 into 0
 
 
-def _complex_pairs(amps: np.ndarray) -> str:
-    """``[[re, im], ...]`` for a complex vector in one join; "%.17g" % x is
-    the text of format(x, ".17g"), and the +0.0 folds -0.0 as in
-    :func:`format_real`."""
-    pairs = zip((amps.real + 0.0).tolist(), (amps.imag + 0.0).tolist())
-    return "[" + ", ".join(map("[%.17g, %.17g]".__mod__, pairs)) + "]"
+#: One amplitude's text as :func:`_complex_pairs` writes it, with the ", "
+#: that separates it from the next.
+_PAIR = "[%.17g, %.17g], "
+
+
+def _complex_pairs(amps: np.ndarray, out: list[str]) -> None:
+    """Append ``[[re, im], ...]`` for a complex vector to ``out``, one slice
+    of :data:`AMP_SLICE` amplitudes at a time, each in one ``%``-format over
+    its interleaved (re, im) parts: "%.17g" % x is the text of
+    format(x, ".17g"), and the +0.0 folds -0.0 as in :func:`format_real`."""
+    parts = amps[:, None].view(np.float64)
+    pattern = _PAIR * min(len(parts), AMP_SLICE)
+    out.append("[")
+    for lo in range(0, len(parts), AMP_SLICE):
+        chunk = parts[lo : lo + AMP_SLICE]
+        if lo:
+            out.append(", ")
+        # a slice of k amplitudes takes k patterns, less the last separator
+        text = pattern[: len(chunk) * len(_PAIR) - 2]
+        out.append(text % tuple((chunk + 0.0).ravel().tolist()))
+    out.append("]")
 
 
 def _emit(obj: Any, out: list[str]) -> None:
@@ -65,7 +80,7 @@ def _emit(obj: Any, out: list[str]) -> None:
     elif isinstance(obj, Mapping):
         _emit_object(obj, out)
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.complex128:
-        out.append(_complex_pairs(obj))
+        _complex_pairs(obj, out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -226,7 +241,7 @@ def qfs_from_dict(d: Mapping, cap: int) -> QuantumFuzzySet:
     if abs(norm - 1.0) > 1e-12:
         # hand-written inputs are often rounded; renormalize them, but leave
         # machine-precision values untouched so round trips stay bit-exact
-        amps = amps / norm
+        np.divide(amps, norm, out=amps)
     state = StateVector(total, amps)
     q = QuantumFuzzySet(state, layout)
     if declared != q.universe_size:

@@ -31,6 +31,9 @@ NORM_TOL = 1e-10
 RANK_SV_TOL = 1e-8
 #: Entrywise tolerance for exact structural comparisons.
 EXACT_TOL = 1e-12
+#: Amplitudes per slice where a whole register is written out or summed a
+#: slice at a time, so that the temporaries stay this small.
+AMP_SLICE = 1 << 12
 #: Most trials one sampling call draws: ``Generator.multinomial`` takes its
 #: count as an int64.
 MAX_SHOTS = 2**63 - 1
@@ -256,7 +259,8 @@ def draw_counts(
     renormalized first, in one multinomial draw; only the indices drawn at
     least once appear."""
     counts = rng.multinomial(trials, probs / probs.sum())
-    return {int(i): int(c) for i, c in enumerate(counts) if c}
+    drawn = np.flatnonzero(counts)
+    return dict(zip(drawn.tolist(), counts[drawn].tolist()))
 
 
 def one_probabilities(state: StateVector) -> np.ndarray:

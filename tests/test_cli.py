@@ -792,6 +792,37 @@ def test_input_and_output_paths(tmp_path, capsys, monkeypatch):
     assert payload["amplitudes"][1][0] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (
+            ["encode"],
+            json.dumps(
+                {"universe_size": 15, "memberships": [(i % 9) / 9 + 0.05 for i in range(15)]}
+            ),
+        ),
+        (
+            ["eval"],
+            eval_spec(
+                universe_size=2,
+                sets={"A": [0.3, 0.9], "B": [0.6, 0.2]},
+                expression="NOT A OR B",
+                mode="quantum",
+            ),
+        ),
+    ],
+    ids=["encode_15", "quantum_eval"],
+)
+def test_output_file_gets_the_bytes_of_stdout(tmp_path, capsys, monkeypatch, argv, stdin):
+    """``--output`` writes exactly what stdout gets, the newline included,
+    for a state written in several slices and for a quantum eval."""
+    code, out, _ = run_cli(capsys, monkeypatch, argv, stdin)
+    dst = tmp_path / "out.json"
+    assert run_cli(capsys, monkeypatch, [*argv, "--output", str(dst)], stdin) == (0, "", "")
+    assert code == 0 and out.endswith("}\n")
+    assert dst.read_bytes() == out.encode("utf-8")
+
+
 @pytest.mark.parametrize("target", ["missing/out.json", "."])
 def test_unwritable_output_path_is_an_input_error(tmp_path, capsys, monkeypatch, target):
     """A missing directory or a directory as the path: one error line and

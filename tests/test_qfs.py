@@ -14,6 +14,7 @@ from qfuzzy.qfs import (
     QuantumFuzzySet,
     RegisterLayout,
     _com_table,
+    _product_amplitudes,
     defuzzify,
     encode,
     expansion_coeff,
@@ -466,6 +467,34 @@ def test_superpose_tiny_coefficients_renormalize(tiny, unit, scale):
     big = superpose(zip(unit, sets))
     assert np.max(np.abs(small.state.amplitudes - big.state.amplitudes)) <= 1e-15
     assert small.pre_norm == pytest.approx(big.pre_norm * scale, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [13, 14, 15, 16])
+def test_sliced_superpose_keeps_the_bits_of_whole_register_sums(n):
+    """Adding each term a slice at a time and dividing in place gives the
+    bits of adding each term whole and dividing into a new register, with
+    complex and tiny coefficients, at one to sixteen slices."""
+    rng = np.random.default_rng(n)
+    coefs = [1.5, 0.3 - 0.45j, 1e-3j, -2.0**-40, 1e-300]
+    sets = [random_fuzzy(rng, n) for _ in coefs]
+    vec = np.zeros(1 << n, dtype=np.complex128)
+    for c, f in zip(coefs, sets):
+        vec += c * _product_amplitudes(f.memberships)
+    norm = float(np.linalg.norm(vec))
+    q = superpose(zip(coefs, sets))
+    assert np.array_equal(
+        q.state.amplitudes.view(np.uint64), (vec / norm).view(np.uint64)
+    )
+    assert q.pre_norm == norm
+
+
+def test_superpose_holds_the_register_and_one_term():
+    """A 3-term superposition at N=18 holds its 4 MiB register, one 2 MiB
+    term with what builds it, and one slice of the scaled term, never the
+    scaled term as a whole 4 MiB register."""
+    rng = np.random.default_rng(18)
+    terms = [(c, random_fuzzy(rng, 18)) for c in (1.0, 0.5j, 1e-3)]
+    assert peak_bytes(superpose, terms) <= 8 << 20
 
 
 def test_superpose_refuses_over_cap_before_allocating():

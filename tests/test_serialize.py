@@ -6,12 +6,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from helpers import peak_bytes
+
 from qfuzzy import serialize
 from qfuzzy.analysis import entanglement_report
 from qfuzzy.errors import ResourceLimitError
 from qfuzzy.fuzzy import CrispSubset, FuzzySet
 from qfuzzy.qfs import encode, qand
-from qfuzzy.statevec import DEFAULT_QUBIT_CAP
+from qfuzzy.statevec import AMP_SLICE, DEFAULT_QUBIT_CAP
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -71,6 +73,38 @@ def test_amplitude_writer_matches_format_real(pairs):
         f"[{serialize.format_real(re)}, {serialize.format_real(im)}]" for re, im in pairs
     )
     assert serialize.dumps(amps) == f"[{expected}]"
+
+
+@pytest.mark.parametrize(
+    "size", [1, AMP_SLICE - 1, AMP_SLICE, AMP_SLICE + 1, 1 << 16]
+)
+def test_sliced_amplitude_writer_equals_one_join(size):
+    """The writer goes a slice of AMP_SLICE amplitudes at a time; its text
+    equals one join over every part, with -0.0, subnormal and near-overflow
+    parts at the ends, on both sides of each slice boundary and at random."""
+    rng = np.random.default_rng(size)
+    parts = rng.normal(size=(size, 2))
+    flat = parts.ravel()
+    edges = [0, 1, -2, -1]
+    for lo in range(AMP_SLICE, size, AMP_SLICE):
+        edges += [2 * lo - 2, 2 * lo - 1, 2 * lo, 2 * lo + 1]
+    edges += rng.integers(0, flat.size, 64).tolist()
+    flat[edges] = rng.choice(EDGE_REALS, len(edges))
+    amps = parts.view(np.complex128).ravel()
+    expected = ", ".join(
+        f"[{serialize.format_real(re)}, {serialize.format_real(im)}]"
+        for re, im in parts.tolist()
+    )
+    assert serialize.dumps(amps) == f"[{expected}]"
+
+
+def test_state_writer_holds_only_its_text_and_one_slice():
+    """dumps of an N=16 state holds the text's slices and the joined text,
+    and per slice one slice of floats and their text: under 2.5 times the
+    text, with no string per amplitude."""
+    doc = serialize.qfs_to_dict(encode(FuzzySet(np.random.default_rng(16).random(16))))
+    text = serialize.dumps(doc)
+    assert peak_bytes(serialize.dumps, doc) <= 2.5 * len(text)
 
 
 def test_fuzzy_set_round_trip():

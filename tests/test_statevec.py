@@ -26,6 +26,7 @@ from qfuzzy.statevec import (
     basis_state,
     bits_to_index,
     bloch_point,
+    draw_counts,
     factor_product_state,
     ground_state,
     inner_product,
@@ -319,6 +320,20 @@ def test_sample_distribution_binomial_bound():
     counts = sample_distribution(encode(FuzzySet([0.5])).state, np.random.default_rng(3), 100_000)
     sigma = math.sqrt(100_000 * 0.25)
     assert abs(counts["1"] - 50_000) <= 3 * sigma
+
+
+@pytest.mark.parametrize("n", [1, 6, 14])
+def test_draw_counts_equals_the_loop_over_every_index(n):
+    """The drawn indices, read with flatnonzero, give the dict of a loop over
+    all 2^n counts: same keys in the same order, Python ints throughout."""
+    probs = np.random.default_rng(n).random(1 << n)
+    probs[::3] = 0.0
+    probs[1] = 1.0
+    got = draw_counts(probs, np.random.default_rng(7), 10_000)
+    counts = np.random.default_rng(7).multinomial(10_000, probs / probs.sum())
+    expected = {i: int(c) for i, c in enumerate(counts) if c}
+    assert list(got.items()) == list(expected.items())
+    assert {type(x) for x in got} | {type(x) for x in got.values()} == {int}
 
 
 def test_sample_distribution_reproducible():
