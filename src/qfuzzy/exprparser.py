@@ -210,6 +210,9 @@ def _fold(node: ExprAst, leaf, negate, conj, disj):
 
 # --- parser ---------------------------------------------------------------
 
+# binding strength and node class of each binary connective
+_BINARY = {"OR": (1, Or), "AND": (2, And)}
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
@@ -239,64 +242,64 @@ class _Parser:
             self.fail(expected)
         return self.advance()
 
-    def expr(self) -> ExprAst:
-        return self.chain("OR", Or, self.term)
+    def expr(self, floor: int = 1) -> ExprAst:
+        """An operand joined by every AND or OR that binds at least as
+        tightly as ``floor`` (see ``_BINARY``): ``expr(1)`` is a whole
+        expression, ``expr(2)`` an AND chain, ``expr(3)`` one NOT-prefixed
+        operand.
 
-    def term(self) -> ExprAst:
-        return self.chain("AND", And, self.factor)
-
-    def chain(self, kind: str, node: type[And | Or], operand) -> ExprAst:
-        """``operand (kind operand)*``, the rule behind ``expr`` and
-        ``term``: each ``kind`` token joins the tree so far and the next
-        operand into a ``node`` at that token, so the chain nests to the
-        left."""
-        value = operand()
-        while self.peek().kind == kind:
+        The prefixes of the first operand go on a local list, not on the
+        Python stack: one entry per open parenthesis, holding the NOT tokens
+        in front of it, and a last entry holding the NOTs in front of the
+        operand itself.  After :meth:`primary`, each round wraps the value in
+        the last entry's NOTs, innermost first; joins the connectives that
+        bind at least as tightly as the floor, which is 1 inside an open
+        parenthesis, each right operand being ``expr(strength + 1)``; and
+        closes one parenthesis.  So nested parentheses and NOTs cost no
+        frame, and AND and OR chains nest to the left."""
+        prefixes: list[list[Token]] = [[]]
+        while self.peek().kind in ("NOT", "LPAREN"):
             tok = self.advance()
-            value = node(value, operand(), pos=(tok.line, tok.col))
-        return value
-
-    def factor(self) -> ExprAst:
-        if self.peek().kind == "NOT":
-            tok = self.advance()
-            return Not(self.factor(), pos=(tok.line, tok.col))
-        return self.primary()
+            if tok.kind == "NOT":
+                prefixes[-1].append(tok)
+            else:
+                prefixes.append([])
+        value = self.primary()
+        while True:
+            for tok in reversed(prefixes.pop()):
+                value = Not(value, pos=(tok.line, tok.col))
+            level = 1 if prefixes else floor
+            while (binary := _BINARY.get(self.peek().kind)) and binary[0] >= level:
+                tok = self.advance()
+                strength, node = binary
+                value = node(value, self.expr(strength + 1), pos=(tok.line, tok.col))
+            if not prefixes:
+                return value
+            self.expect("RPAREN", "')'")
 
     def primary(self) -> ExprAst:
         tok = self.peek()
+        if tok.kind not in ("IDENT", "FUZ", "DEFUZ", "SUPERPOSE"):
+            self.fail("expression")
+        self.advance()
+        pos = (tok.line, tok.col)
         if tok.kind == "IDENT":
-            self.advance()
-            return Ident(tok.text, pos=(tok.line, tok.col))
-        if tok.kind == "LPAREN":
-            self.advance()
-            node = self.expr()
-            self.expect("RPAREN", "')'")
-            return node
+            return Ident(tok.text, pos=pos)
+        self.expect("LPAREN", "'('")
         if tok.kind == "FUZ":
-            self.advance()
-            self.expect("LPAREN", "'('")
             index = self.integer()
             self.expect("COMMA", "','")
-            k = self.integer()
-            self.expect("RPAREN", "')'")
-            return Fuz(index, k, pos=(tok.line, tok.col))
-        if tok.kind == "DEFUZ":
-            self.advance()
-            self.expect("LPAREN", "'('")
-            node = self.expr()
-            self.expect("RPAREN", "')'")
-            return Defuz(node, pos=(tok.line, tok.col))
-        if tok.kind == "SUPERPOSE":
-            self.advance()
-            self.expect("LPAREN", "'('")
+            node = Fuz(index, self.integer(), pos=pos)
+        elif tok.kind == "DEFUZ":
+            node = Defuz(self.expr(), pos=pos)
+        else:
             terms = [self.superpose_term()]
             while self.peek().kind == "COMMA":
                 self.advance()
                 terms.append(self.superpose_term())
-            self.expect("RPAREN", "')'")
-            return Superpose(tuple(terms), pos=(tok.line, tok.col))
-        self.fail("expression")
-        raise AssertionError("unreachable")
+            node = Superpose(tuple(terms), pos=pos)
+        self.expect("RPAREN", "')'")
+        return node
 
     def superpose_term(self) -> tuple[float, ExprAst]:
         num = self.expect("NUMBER", "coefficient")
@@ -334,10 +337,11 @@ def pretty_print(ast: ExprAst) -> str:
     """Fully parenthesized canonical text of any tree :func:`parse` returns,
     overflowing SUPERPOSE coefficients included: an infinite one prints as
     ``1e999`` or ``-1e999``, which parse back to it.  Reparsing the text
-    reproduces ``ast`` wherever its parentheses nest no deeper than the
-    parser's recursion reaches; each AND or OR adds a level, so the text of
-    a chain of a few hundred operands does not reparse.  The printer is one
-    :func:`_fold`, so a chain of any length prints."""
+    reproduces ``ast``.  The printer is one :func:`_fold`, so a left-nested
+    AND/OR chain of any length prints, and its text reparses, as the parser
+    opens parentheses without a Python frame.  A right-nested operand and
+    a DEFUZ or SUPERPOSE argument still cost the parser a frame per level,
+    so such text nested several hundred levels deep does not reparse."""
 
     def leaf(node: ExprAst) -> str:
         if isinstance(node, Ident):

@@ -349,25 +349,42 @@ def test_eval_fault_precedence(capsys, monkeypatch, expression, exit_code, messa
 
 
 @pytest.mark.parametrize(
-    "expression, mode",
+    "expression, mode, exit_code",
     [
-        ("(" * 300 + "A" + ")" * 300, "classical"),
-        ("NOT " * 990 + "A", "classical"),
-        ("NOT " * 3000 + "A", "classical"),
-        ("NOT " * 3000 + "A", "quantum"),
-        ("(" * 3000 + "A" + ")" * 3000, "classical"),
-        ("(" * 3000 + "A" + ")" * 3000, "quantum"),
+        ("(" * 300 + "A" + ")" * 300, "classical", 0),
+        ("NOT " * 990 + "A", "classical", 4),
+        ("NOT " * 3000 + "A", "classical", 4),
+        ("NOT " * 3000 + "A", "quantum", 4),
+        ("(" * 3000 + "A" + ")" * 3000, "classical", 0),
+        ("(" * 3000 + "A" + ")" * 3000, "quantum", 0),
+        ("A AND (" * 3000 + "A" + ")" * 3000, "classical", 4),
+        ("A AND (" * 3000 + "A" + ")" * 3000, "quantum", 4),
+        ("DEFUZ(" * 3000 + "A" + ")" * 3000, "classical", 4),
+        ("DEFUZ(" * 3000 + "A" + ")" * 3000, "quantum", 4),
     ],
     ids=[
         "parentheses", "not", "not-3000-classical", "not-3000-quantum",
         "parentheses-3000-classical", "parentheses-3000-quantum",
+        "right-nested-3000-classical", "right-nested-3000-quantum",
+        "defuz-3000-classical", "defuz-3000-quantum",
     ],
 )
-def test_eval_deeply_nested_expression(capsys, monkeypatch, expression, mode):
+def test_eval_deeply_nested_expression(
+    capsys, monkeypatch, expression, mode, exit_code
+):
     spec = eval_spec(expression=expression, mode=mode)
     code, out, err = run_cli(capsys, monkeypatch, ["eval"], spec)
-    assert (code, out) == (4, "")
-    assert err == "error: expression nested too deeply\n"
+    if exit_code == 0:
+        # parentheses cost the parser no frame, and the tree is the bare A
+        spec = eval_spec(expression="A", mode=mode)
+        bare = run_cli(capsys, monkeypatch, ["eval"], spec)
+        assert (code, out, err) == bare
+        assert bare[0] == 0
+    else:
+        # a NOT costs the evaluator a frame; a right operand or a DEFUZ
+        # argument costs the parser one
+        assert (code, out) == (4, "")
+        assert err == "error: expression nested too deeply\n"
 
 
 @pytest.mark.parametrize(

@@ -135,12 +135,40 @@ def test_nodes_sit_at_their_tokens():
     assert repr(ast.right) == "Fuz(index=1, k=2)"
 
 
-@pytest.mark.parametrize("op", ["AND", "OR"])
-def test_pretty_print_long_chain(op):
-    # the text nests 4999 parentheses, too deep to reparse, and the
-    # dataclass == recurses once per level, so compare with the text itself
-    text = pretty_print(parse(f" {op} ".join(["A"] * 5000)))
-    assert text == "(" * 4999 + "A" + f" {op} A)" * 4999
+def test_not_before_parentheses_sits_at_its_token():
+    ast = parse("NOT (A AND\n NOT (B)) OR C")
+    assert ast == Or(Not(And(Ident("A"), Not(Ident("B")))), Ident("C"))
+    assert (ast.pos, ast.left.pos, ast.right.pos) == ((2, 11), (1, 1), (2, 14))
+    conj = ast.left.child
+    assert (conj.pos, conj.left.pos, conj.right.pos) == ((1, 8), (1, 6), (2, 2))
+    assert conj.right.child.pos == (2, 7)
+    ast = parse("((A) AND (NOT B))")
+    assert ast == And(Ident("A"), Not(Ident("B")))
+    assert (ast.pos, ast.left.pos, ast.right.pos) == ((1, 6), (1, 3), (1, 11))
+    assert ast.right.child.pos == (1, 15)
+
+
+def test_deep_parentheses_parse():
+    ast = parse("(" * 20000 + "A" + ")" * 20000)
+    assert (ast, ast.pos) == (Ident("A"), (1, 20001))
+
+
+ALTERNATING_CHAIN = "(" * 4999 + "A" + " AND A) OR A)" * 2499 + " AND A)"
+
+
+@pytest.mark.parametrize(
+    "source, text",
+    [
+        (" AND ".join(["A"] * 5000), "(" * 4999 + "A" + " AND A)" * 4999),
+        (" OR ".join(["A"] * 5000), "(" * 4999 + "A" + " OR A)" * 4999),
+        (ALTERNATING_CHAIN, ALTERNATING_CHAIN),
+    ],
+    ids=["AND", "OR", "alternating"],
+)
+def test_pretty_print_long_chain(source, text):
+    # the dataclass == recurses once per level, so compare with the text itself
+    assert pretty_print(parse(source)) == text
+    assert pretty_print(parse(text)) == text
 
 
 @pytest.mark.parametrize(
