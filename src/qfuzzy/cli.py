@@ -66,11 +66,9 @@ def _read_spec(d: object, args: argparse.Namespace) -> tuple[str, Environment]:
     to evaluate it in.  Each integer field is checked as a JSON integer
     before a command-line flag may override it; a run parameter given by
     neither takes the Environment default."""
-    if not isinstance(d, dict):
-        raise ValueError(f"pipeline spec must be a JSON object, got {type(d).__name__}")
+    serialize._json_object(d, "pipeline spec")
     for key in ("universe_size", "sets", "expression"):
-        if key not in d:
-            raise ValueError(f"pipeline spec is missing the {key!r} field")
+        serialize._require(d, key, "pipeline spec")
     n = serialize.json_int(d["universe_size"], "universe_size", 1)
     if not isinstance(d["sets"], dict):
         raise ValueError("sets must be an object mapping names to membership arrays")

@@ -187,25 +187,31 @@ class Superpose(_Node):
 ExprAst = Union[Ident, Not, And, Or, Fuz, Defuz, Superpose]
 
 
+# markers of a pending connective on :func:`_fold`'s stack; no caller sees them
+_NEGATE, _CONJ, _DISJ = object(), object(), object()
+
+
 def _fold(node: ExprAst, leaf, negate, conj, disj):
-    """Bottom-up value of ``node``: ``leaf(node)`` at a leaf, ``negate`` at
-    NOT, and ``conj`` or ``disj`` of the left and right values at AND or OR,
-    with children taken left to right.  A left-deep AND/OR chain, which is
-    what the parser makes of ``A AND B AND ...``, is walked in a loop, so
-    its length does not count against the recursion limit."""
-    if isinstance(node, Not):
-        return negate(_fold(node.child, leaf, negate, conj, disj))
-    if not isinstance(node, (And, Or)):
-        return leaf(node)
-    links = []
-    while isinstance(node, (And, Or)):
-        links.append(node)
-        node = node.left
-    value = _fold(node, leaf, negate, conj, disj)
-    for link in reversed(links):
-        right = _fold(link.right, leaf, negate, conj, disj)
-        value = (conj if isinstance(link, And) else disj)(value, right)
-    return value
+    """Bottom-up value of ``node``: ``leaf(node)`` at any value that is not
+    a NOT, AND or OR node, ``negate`` at NOT, and ``conj`` or ``disj`` of
+    the left and right values at AND or OR.  One post-order loop, left
+    child first, over a stack of pending nodes and pending connectives, so
+    no depth of NOT, AND or OR costs a Python frame."""
+    stack, values = [node], []
+    while stack:
+        item = stack.pop()
+        if item is _CONJ or item is _DISJ:
+            right = values.pop()
+            values[-1] = (conj if item is _CONJ else disj)(values[-1], right)
+        elif item is _NEGATE:
+            values[-1] = negate(values[-1])
+        elif isinstance(item, (And, Or)):
+            stack += (_CONJ if isinstance(item, And) else _DISJ, item.right, item.left)
+        elif isinstance(item, Not):
+            stack += (_NEGATE, item.child)
+        else:
+            values.append(leaf(item))
+    return values[0]
 
 
 # --- parser ---------------------------------------------------------------
@@ -328,8 +334,7 @@ def parse(text: str) -> ExprAst:
     position of the offending token on bad input."""
     parser = _Parser(tokenize(text))
     node = parser.expr()
-    if parser.peek().kind != "EOF":
-        parser.fail("end of input")
+    parser.expect("EOF", "end of input")
     return node
 
 
@@ -337,11 +342,11 @@ def pretty_print(ast: ExprAst) -> str:
     """Fully parenthesized canonical text of any tree :func:`parse` returns,
     overflowing SUPERPOSE coefficients included: an infinite one prints as
     ``1e999`` or ``-1e999``, which parse back to it.  Reparsing the text
-    reproduces ``ast``.  The printer is one :func:`_fold`, so a left-nested
-    AND/OR chain of any length prints, and its text reparses, as the parser
-    opens parentheses without a Python frame.  A right-nested operand and
-    a DEFUZ or SUPERPOSE argument still cost the parser a frame per level,
-    so such text nested several hundred levels deep does not reparse."""
+    reproduces ``ast``.  The printer is one :func:`_fold`, whose leaf folds
+    a DEFUZ argument and each SUPERPOSE term itself, so a NOT, AND or OR
+    costs it no Python frame, and a DEFUZ or SUPERPOSE level costs it no
+    more frames than it costs the parser: any text :func:`parse` accepts
+    prints back."""
 
     def leaf(node: ExprAst) -> str:
         if isinstance(node, Ident):
@@ -349,14 +354,15 @@ def pretty_print(ast: ExprAst) -> str:
         if isinstance(node, Fuz):
             return f"FUZ({node.index}, {node.k})"
         if isinstance(node, Defuz):
-            return f"DEFUZ({pretty_print(node.child)})"
+            return f"DEFUZ({_fold(node.child, leaf, *gates)})"
         if isinstance(node, Superpose):
-            terms = (f"{_number(c)} * {pretty_print(t)}" for c, t in node.terms)
+            # a list: a generator resumed by join would cost a frame more
+            terms = [f"{_number(c)} * {_fold(t, leaf, *gates)}" for c, t in node.terms]
             return f"SUPERPOSE({', '.join(terms)})"
         raise TypeError(f"not an expression node: {node!r}")
 
-    conj, disj = "({} AND {})".format, "({} OR {})".format
-    return _fold(ast, leaf, "(NOT {})".format, conj, disj)
+    gates = "(NOT {})".format, "({} AND {})".format, "({} OR {})".format
+    return _fold(ast, leaf, *gates)
 
 
 def _number(c: float) -> str:
@@ -406,18 +412,16 @@ def plan(ast: ExprAst, env: Environment) -> int:
     windows only), 2 for FUZ, w(child) for NOT and w(left) + w(right) + 1
     for AND and OR; a top-level DEFUZ adds N ancillas.  Each register built
     on the way is part of the root's, so no gate allocates more than this;
-    OR included, as it writes its register once.
+    OR included, as it writes its register once.  The widths are one
+    :func:`_fold`, so a tree of any depth of NOT, AND and OR is planned.
     """
-    if isinstance(ast, Defuz):
-        return env.universe_size * (_width(ast.child, env) + 1)
-    return env.universe_size * _width(ast, env)
 
-
-def _width(node: ExprAst, env: Environment) -> int:
-    def connective(left: int, right: int) -> int:
+    def join(left: int, right: int) -> int:
         return left + right + 1
 
-    return _fold(node, lambda leaf: _leaf_width(leaf, env), int, connective, connective)
+    body = ast.child if isinstance(ast, Defuz) else ast
+    width = _fold(body, lambda leaf: _leaf_width(leaf, env), int, join, join)
+    return env.universe_size * (width + (body is not ast))  # DEFUZ's ancillas
 
 
 def _leaf_width(node: ExprAst, env: Environment) -> int:

@@ -139,6 +139,12 @@ def json_numbers(values: Any, what: str) -> tuple[float, ...]:
         raise ValueError(f"{what} must be finite") from None
 
 
+def _json_object(d: Any, what: str) -> None:
+    """Check that the document ``d``, which ``what`` names, is a JSON object."""
+    if not isinstance(d, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+
+
 def _require(d: Mapping, key: str, what: str) -> Any:
     if key not in d:
         raise ValueError(f"{what} is missing the {key!r} field")
@@ -153,8 +159,7 @@ def fuzzy_set_to_dict(f: FuzzySet) -> dict:
 
 
 def fuzzy_set_from_dict(d: Mapping) -> FuzzySet:
-    if not isinstance(d, Mapping):
-        raise ValueError(f"fuzzy set must be a JSON object, got {type(d).__name__}")
+    _json_object(d, "fuzzy set")
     n = json_int(_require(d, "universe_size", "fuzzy set"), "universe_size", 1)
     f = FuzzySet(json_numbers(_require(d, "memberships", "fuzzy set"), "memberships"))
     if f.universe_size != n:
@@ -169,8 +174,7 @@ def crisp_subset_to_dict(s: CrispSubset) -> dict:
 
 
 def crisp_subset_from_dict(d: Mapping) -> CrispSubset:
-    if not isinstance(d, Mapping):
-        raise ValueError(f"crisp subset must be a JSON object, got {type(d).__name__}")
+    _json_object(d, "crisp subset")
     n = json_int(_require(d, "universe_size", "crisp subset"), "universe_size", 1)
     bits = _require(d, "bits", "crisp subset")
     if not isinstance(bits, str):
@@ -195,8 +199,7 @@ def qfs_from_dict(d: Mapping, cap: int) -> QuantumFuzzySet:
     """Parse a state document; a layout wider than ``cap`` qubits raises
     :class:`ResourceLimitError`, and an amplitude count that does not match
     the layout a ValueError, before any amplitude is read."""
-    if not isinstance(d, Mapping):
-        raise ValueError(f"state must be a JSON object, got {type(d).__name__}")
+    _json_object(d, "state")
     layout_rows = _require(d, "layout", "state")
     raw = _require(d, "amplitudes", "state")
     declared = json_int(_require(d, "universe_size", "state"), "universe_size", 1)

@@ -15,9 +15,12 @@ import pytest
 from helpers import peak_bytes, perfbench_workloads
 
 import qfuzzy
-from qfuzzy.cli import main
-from qfuzzy.exprparser import Environment, eval_classical, parse
+from qfuzzy import serialize
+from qfuzzy.analysis import column_report
+from qfuzzy.cli import _quantum_payload, main
+from qfuzzy.exprparser import Environment, eval_classical, evaluate, parse
 from qfuzzy.fuzzy import MAX_ENUM_UNIVERSE, FuzzySet
+from qfuzzy.qfs import column_marginals
 
 
 def run_cli(capsys, monkeypatch, argv, stdin=""):
@@ -348,25 +351,47 @@ def test_eval_fault_precedence(capsys, monkeypatch, expression, exit_code, messa
     assert err == f"error: {message}\n"
 
 
+def library_payload(expression, mode):
+    """The stdout of ``eval`` on ``eval_spec(expression=..., mode=...)``,
+    built from the library's own evaluation of the same tree."""
+    sets = {name: FuzzySet(m) for name, m in json.loads(eval_spec())["sets"].items()}
+    env = Environment(1, sets, mode=mode, seed=42, trials=1000)
+    result = evaluate(parse(expression), env)
+    if mode == "classical":
+        payload = {
+            "mode": "classical",
+            "universe_size": result.universe_size,
+            "memberships": list(result.memberships),
+        }
+    else:
+        payload = _quantum_payload(
+            result.dense_layout(), column_report(result), column_marginals(result)
+        )
+    return serialize.dumps(payload) + "\n"
+
+
 @pytest.mark.parametrize(
     "expression, mode, exit_code",
     [
         ("(" * 300 + "A" + ")" * 300, "classical", 0),
-        ("NOT " * 990 + "A", "classical", 4),
-        ("NOT " * 3000 + "A", "classical", 4),
-        ("NOT " * 3000 + "A", "quantum", 4),
+        ("NOT " * 990 + "A", "classical", 0),
+        ("NOT " * 3000 + "A", "classical", 0),
+        ("NOT " * 3000 + "A", "quantum", 0),
         ("(" * 3000 + "A" + ")" * 3000, "classical", 0),
         ("(" * 3000 + "A" + ")" * 3000, "quantum", 0),
         ("A AND (" * 3000 + "A" + ")" * 3000, "classical", 4),
         ("A AND (" * 3000 + "A" + ")" * 3000, "quantum", 4),
         ("DEFUZ(" * 3000 + "A" + ")" * 3000, "classical", 4),
         ("DEFUZ(" * 3000 + "A" + ")" * 3000, "quantum", 4),
+        ("SUPERPOSE(1.0 * " * 3000 + "A" + ")" * 3000, "classical", 4),
+        ("SUPERPOSE(1.0 * " * 3000 + "A" + ")" * 3000, "quantum", 4),
     ],
     ids=[
         "parentheses", "not", "not-3000-classical", "not-3000-quantum",
         "parentheses-3000-classical", "parentheses-3000-quantum",
         "right-nested-3000-classical", "right-nested-3000-quantum",
         "defuz-3000-classical", "defuz-3000-quantum",
+        "superpose-3000-classical", "superpose-3000-quantum",
     ],
 )
 def test_eval_deeply_nested_expression(
@@ -375,14 +400,12 @@ def test_eval_deeply_nested_expression(
     spec = eval_spec(expression=expression, mode=mode)
     code, out, err = run_cli(capsys, monkeypatch, ["eval"], spec)
     if exit_code == 0:
-        # parentheses cost the parser no frame, and the tree is the bare A
-        spec = eval_spec(expression="A", mode=mode)
-        bare = run_cli(capsys, monkeypatch, ["eval"], spec)
-        assert (code, out, err) == bare
-        assert bare[0] == 0
+        # parentheses cost the parser no frame, and NOTs cost no walker one
+        assert (code, err) == (0, "")
+        assert out == library_payload(expression, mode)
     else:
-        # a NOT costs the evaluator a frame; a right operand or a DEFUZ
-        # argument costs the parser one
+        # a right operand, a DEFUZ argument or a SUPERPOSE term costs the
+        # parser a frame
         assert (code, out) == (4, "")
         assert err == "error: expression nested too deeply\n"
 
@@ -429,9 +452,15 @@ def test_eval_out_of_memory_is_a_resource_error(capsys, monkeypatch, message, sh
 
 
 def test_eval_missing_field(capsys, monkeypatch):
-    code, _, err = run_cli(capsys, monkeypatch, ["eval"], '{"universe_size": 1}')
-    assert code == 2
-    assert "missing" in err
+    for document, field in [
+        ('{"universe_size": 1}', "sets"),
+        # every field is looked for before any is checked
+        ('{"universe_size": 0, "sets": 1}', "expression"),
+        ('{"sets": 1, "expression": 1}', "universe_size"),
+    ]:
+        code, out, err = run_cli(capsys, monkeypatch, ["eval"], document)
+        assert (code, out) == (2, "")
+        assert err == f"error: pipeline spec is missing the {field!r} field\n"
 
 
 @pytest.mark.parametrize(

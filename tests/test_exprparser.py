@@ -171,6 +171,114 @@ def test_pretty_print_long_chain(source, text):
     assert pretty_print(parse(text)) == text
 
 
+# --- tree walks -------------------------------------------------------------------
+
+
+def _reference_fold(node, leaf, negate, conj, disj):
+    """The recursive definition that ``exprparser._fold`` walks in a loop."""
+    if isinstance(node, Not):
+        return negate(_reference_fold(node.child, leaf, negate, conj, disj))
+    if isinstance(node, (And, Or)):
+        left = _reference_fold(node.left, leaf, negate, conj, disj)
+        right = _reference_fold(node.right, leaf, negate, conj, disj)
+        return (conj if isinstance(node, And) else disj)(left, right)
+    return leaf(node)
+
+
+def _recorders(calls):
+    """The four callbacks of a fold, each logging its call to ``calls`` and
+    returning the call's number."""
+
+    def record(kind):
+        def callback(*values):
+            calls.append((kind, values))
+            return len(calls)
+
+        return callback
+
+    return [record(kind) for kind in ("leaf", "not", "and", "or")]
+
+
+def _random_connectives(rng, leaves):
+    """A random NOT/AND/OR tree over ``leaves`` identifier and FUZ leaves."""
+    if leaves == 1:
+        node = Ident("ABC"[int(rng.integers(3))]) if rng.random() < 0.8 else Fuz(1, 1)
+    else:
+        left = int(rng.integers(1, leaves))
+        node = (And if rng.random() < 0.5 else Or)(
+            _random_connectives(rng, left), _random_connectives(rng, leaves - left)
+        )
+    return Not(node) if rng.random() < 0.3 else node
+
+
+def test_fold_meets_nodes_in_recursive_order():
+    # the order of the calls fixes which error plan and the evaluators raise
+    # first, so the loop must make them in the recursive fold's sequence
+    rng = np.random.default_rng(25)
+    for _ in range(1000):
+        ast = _random_connectives(rng, int(rng.integers(1, 40)))
+        runs = []
+        for fold in (_reference_fold, exprparser._fold):
+            calls = []
+            runs.append((fold(ast, *_recorders(calls)), calls))
+        assert runs[0] == runs[1]
+
+
+# the dataclass == and repr recurse once per level, so the deep cases below
+# compare texts and memberships, never trees
+DEEP = 10_001
+
+
+def test_walks_take_any_number_of_nots():
+    ast = parse("NOT " * DEEP + "A")
+    classical = env_for(2, A=[0.25, 1.0])
+    quantum = env_for(2, "quantum", A=[0.25, 1.0])
+    assert plan(ast, quantum) == 2
+    assert evaluate(ast, classical).memberships == (0.75, 0.0)
+    negated = column_marginals(evaluate(parse("NOT A"), quantum))
+    assert column_marginals(evaluate(ast, quantum)).tolist() == negated.tolist()
+    text = pretty_print(ast)
+    assert text == "(NOT " * DEEP + "A" + ")" * DEEP
+    assert pretty_print(parse(text)) == text
+
+
+def test_walks_take_a_deep_right_nested_tree():
+    ast, opened, m = Ident("A"), [], 0.3
+    for i in range(DEEP):
+        ast = (Or if i % 2 else And)(Ident("A"), ast)
+        opened.append("(A OR " if i % 2 else "(A AND ")
+        m = 0.3 + m - 0.3 * m if i % 2 else 0.3 * m
+    quantum, width = env_for(1, "quantum", A=[0.3]), 2 * DEEP + 1
+    assert plan(ast, quantum) == width
+    with pytest.raises(ResourceLimitError, match=f"register of {width} qubits"):
+        evaluate(ast, quantum)
+    assert evaluate(ast, env_for(1, A=[0.3])).memberships == (m,)
+    assert pretty_print(ast) == "".join(reversed(opened)) + "A" + ")" * DEEP
+
+
+@pytest.mark.parametrize(
+    "opening", ["DEFUZ(", "SUPERPOSE(1.0 * "], ids=["DEFUZ", "SUPERPOSE"]
+)
+def test_deepest_parsed_nesting_prints(opening):
+    # each DEFUZ or SUPERPOSE level costs the printer no more Python frames
+    # than it costs the parser, so whatever parses prints back
+    def nested(depth):
+        return opening * depth + "A" + ")" * depth
+
+    low, high = 1, DEEP
+    parse(nested(low))
+    with pytest.raises(RecursionError):
+        parse(nested(high))
+    while high - low > 1:
+        mid = (low + high) // 2
+        try:
+            parse(nested(mid))
+            low = mid
+        except RecursionError:
+            high = mid
+    assert pretty_print(parse(nested(low))) == nested(low)
+
+
 @pytest.mark.parametrize(
     "text, printed",
     [

@@ -137,6 +137,74 @@ def test_fuzzy_set_from_dict_validation():
         serialize.fuzzy_set_from_dict({"universe_size": 1, "memberships": [1.5]})
 
 
+def _read_state(d):
+    return serialize.qfs_from_dict(d, DEFAULT_QUBIT_CAP)
+
+
+@pytest.mark.parametrize(
+    "read, document, message",
+    [
+        (
+            serialize.fuzzy_set_from_dict,
+            None,
+            "fuzzy set must be a JSON object, got NoneType",
+        ),
+        (
+            serialize.fuzzy_set_from_dict,
+            {},
+            "fuzzy set is missing the 'universe_size' field",
+        ),
+        (
+            serialize.fuzzy_set_from_dict,
+            {"universe_size": 0},
+            "universe_size must be an integer >= 1, got 0",
+        ),
+        (
+            serialize.fuzzy_set_from_dict,
+            {"universe_size": 1},
+            "fuzzy set is missing the 'memberships' field",
+        ),
+        (
+            serialize.crisp_subset_from_dict,
+            7,
+            "crisp subset must be a JSON object, got int",
+        ),
+        (
+            serialize.crisp_subset_from_dict,
+            {"bits": 1},
+            "crisp subset is missing the 'universe_size' field",
+        ),
+        (
+            serialize.crisp_subset_from_dict,
+            {"universe_size": 1},
+            "crisp subset is missing the 'bits' field",
+        ),
+        (_read_state, "{}", "state must be a JSON object, got str"),
+        (
+            _read_state,
+            {"universe_size": 0, "amplitudes": 1},
+            "state is missing the 'layout' field",
+        ),
+        (
+            _read_state,
+            {"layout": 1, "universe_size": 0},
+            "state is missing the 'amplitudes' field",
+        ),
+        (
+            _read_state,
+            {"layout": 1, "amplitudes": 1},
+            "state is missing the 'universe_size' field",
+        ),
+    ],
+)
+def test_document_faults_are_reported_in_order(read, document, message):
+    """Each reader first checks for an object, then takes its fields in a
+    fixed order; a later field's fault is not reported before an earlier one."""
+    with pytest.raises(ValueError) as err:
+        read(document)
+    assert str(err.value) == message
+
+
 def test_crisp_subset_round_trip():
     s = CrispSubset("0110")
     back = serialize.crisp_subset_from_dict(serialize.crisp_subset_to_dict(s))
