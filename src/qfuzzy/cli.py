@@ -110,10 +110,7 @@ def _quantum_payload(
 
 def _cmd_eval(args: argparse.Namespace) -> str:
     expression, env = _read_spec(_load_json(_read_input(args.input)), args)
-    try:
-        result = evaluate(parse(expression), env)
-    except RecursionError:
-        raise EvalError("expression nested too deeply") from None
+    result = evaluate(parse(expression), env)
     if isinstance(result, FuzzySet):
         payload = {
             "mode": "classical",
@@ -152,11 +149,10 @@ def _cmd_report(args: argparse.Namespace) -> str:
 
 
 def _cmd_sample(args: argparse.Namespace) -> str:
-    shots = args.shots if args.shots is not None else 10000
     q = serialize.qfs_from_dict(_load_json(_read_input(args.input)), args.qubit_cap)
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    counts = sample_distribution(q.state, rng, shots)
-    payload = {"shots": shots, "counts": serialize.distribution_to_dict(counts)}
+    rng = np.random.default_rng(args.seed)
+    counts = sample_distribution(q.state, rng, args.shots)
+    payload = {"shots": args.shots, "counts": serialize.distribution_to_dict(counts)}
     return serialize.dumps(payload)
 
 
@@ -211,9 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="state JSON -> measurement counts")
     common(p_sample, DEFAULT_QUBIT_CAP)
-    p_sample.add_argument("--seed", type=_nonneg_int, default=None)
+    p_sample.add_argument("--seed", type=_nonneg_int, default=0)
     p_sample.add_argument(
-        "--shots", "--trials", dest="shots", type=_nonneg_int, default=None,
+        "--shots", "--trials", dest="shots", type=_nonneg_int, default=10000,
         help="number of measurements (default 10000)",
     )
     p_sample.set_defaults(handler=_cmd_sample)

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
+from functools import partial
 from operator import or_
 from typing import Mapping, Union
 
@@ -99,15 +101,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<OTHER>.)"
 )
 
-_INT_RE = re.compile(r"\d+")
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+Token = namedtuple("Token", "kind text line col")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -137,54 +131,125 @@ def tokenize(text: str) -> list[Token]:
 # --- syntax tree ----------------------------------------------------------
 
 
-@dataclass(frozen=True, kw_only=True)
 class _Node:
     """Base of the seven node classes.  ``pos`` is the 1-based (line, column)
     of the token that starts the node (the operator's, for AND and OR), or
-    None for a tree built by hand; ``==``, ``hash`` and ``repr`` ignore it."""
+    None for a tree built by hand; ``==``, ``hash`` and ``repr`` ignore it.
+    A node takes its fields in the order of its class's ``__slots__``,
+    cannot be changed, and pickles and copies with its ``pos``.  ``repr``
+    reads ``Cls(field=value, ...)``; it, ``==`` and ``hash`` are one
+    :func:`_walk` each, so they take a tree of any depth."""
 
-    pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("pos",)
+
+    def __init__(self, *fields, pos: tuple[int, int] | None = None):
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
+        for name, value in zip(("pos", *self.__slots__), (pos, *fields)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__  # which is why ``value`` is optional
+
+    def __reduce__(self):
+        fields = tuple(map(self.__getattribute__, self.__slots__))
+        return partial(type(self), pos=self.pos), fields
+
+    def __repr__(self) -> str:
+        return "".join(_walk(self, partial(_fields, show=repr)))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return _walk(self, _key) == _walk(other, _key)
+
+    def __hash__(self) -> int:
+        return hash(tuple(_walk(self, _key)))
 
 
-@dataclass(frozen=True)
 class Ident(_Node):
-    name: str
+    """An identifier: ``name`` (str)."""
+
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Not(_Node):
-    child: "ExprAst"
+    """``NOT child``."""
+
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True)
 class And(_Node):
-    left: "ExprAst"
-    right: "ExprAst"
+    """``left AND right``."""
+
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(_Node):
-    left: "ExprAst"
-    right: "ExprAst"
+    """``left OR right``."""
+
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Fuz(_Node):
-    index: int
-    k: int
+    """``FUZ(index, k)``, both ints."""
+
+    __slots__ = ("index", "k")
 
 
-@dataclass(frozen=True)
 class Defuz(_Node):
-    child: "ExprAst"
+    """``DEFUZ(child)``."""
+
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True)
 class Superpose(_Node):
-    terms: tuple[tuple[float, "ExprAst"], ...]
+    """``SUPERPOSE(c * t, ...)``: ``terms`` is a tuple of (float, node)
+    pairs."""
+
+    __slots__ = ("terms",)
 
 
 ExprAst = Union[Ident, Not, And, Or, Fuz, Defuz, Superpose]
+
+
+def _walk(node: ExprAst, form) -> list:
+    """The parts of ``node`` in pre-order.  ``form(node)`` lists a node's
+    parts in reading order: a part that is a ``str`` or a ``tuple`` is kept
+    as it is, and any other part is a subtree, listed by ``form`` in turn.
+    One loop over a stack of the parts still to read, so no depth costs a
+    Python frame."""
+    parts, stack = [], [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (str, tuple)):
+            parts.append(item)
+        else:
+            stack += reversed(form(item))
+    return parts
+
+
+def _fields(node: _Node, show) -> list:
+    """The ``Cls(field=value, ...)`` form of any node for :func:`_walk`."""
+    parts = [f"{type(node).__qualname__}("]
+    for i, name in enumerate(node.__slots__):
+        parts += [f", {name}=" if i else f"{name}=", *_value(getattr(node, name), show)]
+    return parts + [")"]
+
+
+def _value(value, show) -> list:
+    """The parts of a field's value: a subtree as it is, a tuple opened into
+    its items, and any other value as ``show(value)``."""
+    if not isinstance(value, tuple):
+        return [value if isinstance(value, _Node) else show(value)]
+    items = [p for i, v in enumerate(value) for p in [", "] * (i > 0) + _value(v, show)]
+    return ["(", *items, ",)" if len(value) == 1 else ")"]
+
+
+# ``repr``'s form with every value a 1-tuple: a flat key for ``==`` and ``hash``
+_key = partial(_fields, show=lambda v: (v,))
 
 
 # markers of a pending connective on :func:`_fold`'s stack; no caller sees them
@@ -216,8 +281,11 @@ def _fold(node: ExprAst, leaf, negate, conj, disj):
 
 # --- parser ---------------------------------------------------------------
 
-# binding strength and node class of each binary connective
-_BINARY = {"OR": (1, Or), "AND": (2, And)}
+# binding strength of each binary connective; an open bracket on the
+# parser's stack binds with 0, and any other next token folds like OR
+_BINDS = {"OR": 1, "AND": 2}
+# the tokens that open an operand: NOT and the three brackets around one
+_OPENINGS = frozenset({"NOT", "LPAREN", "DEFUZ", "SUPERPOSE"})
 
 
 class _Parser:
@@ -248,73 +316,83 @@ class _Parser:
             self.fail(expected)
         return self.advance()
 
-    def expr(self, floor: int = 1) -> ExprAst:
-        """An operand joined by every AND or OR that binds at least as
-        tightly as ``floor`` (see ``_BINARY``): ``expr(1)`` is a whole
-        expression, ``expr(2)`` an AND chain, ``expr(3)`` one NOT-prefixed
-        operand.
+    def expr(self) -> ExprAst:
+        """A whole expression, read in one loop over a stack of the
+        constructs still open, so no nesting costs a Python frame.  An entry
+        is an open ``(``, ``DEFUZ(`` or ``SUPERPOSE(`` token with the NOT
+        tokens in front of it and, for SUPERPOSE, the list of its terms so
+        far, whose last item is the coefficient of the term being read; or
+        a pending AND or OR token with its left operand.
 
-        The prefixes of the first operand go on a local list, not on the
-        Python stack: one entry per open parenthesis, holding the NOT tokens
-        in front of it, and a last entry holding the NOTs in front of the
-        operand itself.  After :meth:`primary`, each round wraps the value in
-        the last entry's NOTs, innermost first; joins the connectives that
-        bind at least as tightly as the floor, which is 1 inside an open
-        parenthesis, each right operand being ``expr(strength + 1)``; and
-        closes one parenthesis.  So nested parentheses and NOTs cost no
-        frame, and AND and OR chains nest to the left."""
-        prefixes: list[list[Token]] = [[]]
-        while self.peek().kind in ("NOT", "LPAREN"):
-            tok = self.advance()
-            if tok.kind == "NOT":
-                prefixes[-1].append(tok)
-            else:
-                prefixes.append([])
-        value = self.primary()
+        Each round reads the NOTs and openings in front of an operand and
+        then its leaf (:meth:`leaf`).  While an operand is complete, it is
+        wrapped in its NOTs, innermost first; the pending connectives that
+        bind at least as tightly as the next token (see ``_BINDS``) are
+        folded into it, so AND and OR chains nest to the left; and then the
+        next connective is pushed, the next SUPERPOSE term begins, or the
+        innermost open construct closes into the next complete operand."""
+        stack: list[tuple] = []
         while True:
-            for tok in reversed(prefixes.pop()):
-                value = Not(value, pos=(tok.line, tok.col))
-            level = 1 if prefixes else floor
-            while (binary := _BINARY.get(self.peek().kind)) and binary[0] >= level:
-                tok = self.advance()
-                strength, node = binary
-                value = node(value, self.expr(strength + 1), pos=(tok.line, tok.col))
-            if not prefixes:
-                return value
-            self.expect("RPAREN", "')'")
-
-    def primary(self) -> ExprAst:
-        tok = self.peek()
-        if tok.kind not in ("IDENT", "FUZ", "DEFUZ", "SUPERPOSE"):
-            self.fail("expression")
-        self.advance()
-        pos = (tok.line, tok.col)
-        if tok.kind == "IDENT":
-            return Ident(tok.text, pos=pos)
-        self.expect("LPAREN", "'('")
-        if tok.kind == "FUZ":
-            index = self.integer()
-            self.expect("COMMA", "','")
-            node = Fuz(index, self.integer(), pos=pos)
-        elif tok.kind == "DEFUZ":
-            node = Defuz(self.expr(), pos=pos)
-        else:
-            terms = [self.superpose_term()]
-            while self.peek().kind == "COMMA":
+            nots: list[Token] = []
+            while (tok := self.peek()).kind in _OPENINGS:
                 self.advance()
-                terms.append(self.superpose_term())
-            node = Superpose(tuple(terms), pos=pos)
+                if tok.kind == "NOT":
+                    nots.append(tok)
+                    continue
+                if tok.kind != "LPAREN":
+                    self.expect("LPAREN", "'('")
+                terms = [self.coefficient()] if tok.kind == "SUPERPOSE" else None
+                stack.append((tok, nots, terms))
+                nots = []
+            value = self.leaf()
+            while True:
+                for tok in reversed(nots):
+                    value = Not(value, pos=(tok.line, tok.col))
+                binds = _BINDS.get(kind := self.peek().kind, 1)
+                while stack and _BINDS.get(stack[-1][0].kind, 0) >= binds:
+                    tok, left = stack.pop()
+                    join = And if tok.kind == "AND" else Or
+                    value = join(left, value, pos=(tok.line, tok.col))
+                if kind in _BINDS:
+                    stack.append((self.advance(), value))
+                    break
+                if not stack:
+                    return value
+                tok, nots, terms = stack[-1]
+                if terms is not None:
+                    terms[-1] = (terms[-1], value)
+                    if self.peek().kind == "COMMA":
+                        self.advance()
+                        terms.append(self.coefficient())
+                        break
+                self.expect("RPAREN", "')'")
+                stack.pop()
+                if tok.kind == "DEFUZ":
+                    value = Defuz(value, pos=(tok.line, tok.col))
+                elif terms is not None:
+                    value = Superpose(tuple(terms), pos=(tok.line, tok.col))
+
+    def leaf(self) -> Ident | Fuz:
+        if self.peek().kind not in ("IDENT", "FUZ"):
+            self.fail("expression")
+        tok = self.advance()
+        if tok.kind == "IDENT":
+            return Ident(tok.text, pos=(tok.line, tok.col))
+        self.expect("LPAREN", "'('")
+        index = self.integer()
+        self.expect("COMMA", "','")
+        node = Fuz(index, self.integer(), pos=(tok.line, tok.col))
         self.expect("RPAREN", "')'")
         return node
 
-    def superpose_term(self) -> tuple[float, ExprAst]:
+    def coefficient(self) -> float:
         num = self.expect("NUMBER", "coefficient")
         self.expect("STAR", "'*'")
-        return float(num.text), self.expr()
+        return float(num.text)
 
     def integer(self) -> int:
         tok = self.peek()
-        if tok.kind != "NUMBER" or not _INT_RE.fullmatch(tok.text):
+        if tok.kind != "NUMBER" or not tok.text.isdecimal():
             self.fail("integer")
         try:
             value = int(tok.text)
@@ -342,27 +420,30 @@ def pretty_print(ast: ExprAst) -> str:
     """Fully parenthesized canonical text of any tree :func:`parse` returns,
     overflowing SUPERPOSE coefficients included: an infinite one prints as
     ``1e999`` or ``-1e999``, which parse back to it.  Reparsing the text
-    reproduces ``ast``.  The printer is one :func:`_fold`, whose leaf folds
-    a DEFUZ argument and each SUPERPOSE term itself, so a NOT, AND or OR
-    costs it no Python frame, and a DEFUZ or SUPERPOSE level costs it no
-    more frames than it costs the parser: any text :func:`parse` accepts
-    prints back."""
+    reproduces ``ast``.  The printer is one :func:`_walk` with a form per
+    node class, so it prints a tree of any depth."""
+    return "".join(_walk(ast, lambda node: _PRINTED.get(type(node), _not_a_node)(node)))
 
-    def leaf(node: ExprAst) -> str:
-        if isinstance(node, Ident):
-            return node.name
-        if isinstance(node, Fuz):
-            return f"FUZ({node.index}, {node.k})"
-        if isinstance(node, Defuz):
-            return f"DEFUZ({_fold(node.child, leaf, *gates)})"
-        if isinstance(node, Superpose):
-            # a list: a generator resumed by join would cost a frame more
-            terms = [f"{_number(c)} * {_fold(t, leaf, *gates)}" for c, t in node.terms]
-            return f"SUPERPOSE({', '.join(terms)})"
-        raise TypeError(f"not an expression node: {node!r}")
 
-    gates = "(NOT {})".format, "({} AND {})".format, "({} OR {})".format
-    return _fold(ast, leaf, *gates)
+def _not_a_node(value: object) -> None:
+    raise TypeError(f"not an expression node: {value!r}")
+
+
+def _superpose_parts(node: Superpose) -> list:
+    parts = [p for c, t in node.terms for p in (", ", f"{_number(c)} * ", t)]
+    return ["SUPERPOSE(", *parts[1:], ")"]  # no comma before the first term
+
+
+# the parts each node class prints as, subtrees in their places
+_PRINTED = {
+    Ident: lambda node: [node.name],
+    Fuz: lambda node: [f"FUZ({node.index}, {node.k})"],
+    Not: lambda node: ["(NOT ", node.child, ")"],
+    And: lambda node: ["(", node.left, " AND ", node.right, ")"],
+    Or: lambda node: ["(", node.left, " OR ", node.right, ")"],
+    Defuz: lambda node: ["DEFUZ(", node.child, ")"],
+    Superpose: _superpose_parts,
+}
 
 
 def _number(c: float) -> str:

@@ -370,21 +370,29 @@ def library_payload(expression, mode):
     return serialize.dumps(payload) + "\n"
 
 
+RIGHT_NESTED = "A AND (" * 3000 + "A" + ")" * 3000
+DEFUZ_NESTED = "DEFUZ(" * 3000 + "A" + ")" * 3000
+SUPERPOSE_NESTED = "SUPERPOSE(1.0 * " * 3000 + "A" + ")" * 3000
+
+
 @pytest.mark.parametrize(
-    "expression, mode, exit_code",
+    "expression, mode, exit_code, message",
     [
-        ("(" * 300 + "A" + ")" * 300, "classical", 0),
-        ("NOT " * 990 + "A", "classical", 0),
-        ("NOT " * 3000 + "A", "classical", 0),
-        ("NOT " * 3000 + "A", "quantum", 0),
-        ("(" * 3000 + "A" + ")" * 3000, "classical", 0),
-        ("(" * 3000 + "A" + ")" * 3000, "quantum", 0),
-        ("A AND (" * 3000 + "A" + ")" * 3000, "classical", 4),
-        ("A AND (" * 3000 + "A" + ")" * 3000, "quantum", 4),
-        ("DEFUZ(" * 3000 + "A" + ")" * 3000, "classical", 4),
-        ("DEFUZ(" * 3000 + "A" + ")" * 3000, "quantum", 4),
-        ("SUPERPOSE(1.0 * " * 3000 + "A" + ")" * 3000, "classical", 4),
-        ("SUPERPOSE(1.0 * " * 3000 + "A" + ")" * 3000, "quantum", 4),
+        ("(" * 300 + "A" + ")" * 300, "classical", 0, None),
+        ("NOT " * 990 + "A", "classical", 0, None),
+        ("NOT " * 3000 + "A", "classical", 0, None),
+        ("NOT " * 3000 + "A", "quantum", 0, None),
+        ("(" * 3000 + "A" + ")" * 3000, "classical", 0, None),
+        ("(" * 3000 + "A" + ")" * 3000, "quantum", 0, None),
+        (RIGHT_NESTED, "classical", 0, None),
+        (RIGHT_NESTED, "quantum", 3,
+         "register of 6001 qubits exceeds the cap of 24 qubits"),
+        (DEFUZ_NESTED, "classical", 4, "DEFUZ is only allowed at the top level at 1:7"),
+        (DEFUZ_NESTED, "quantum", 4, "DEFUZ is only allowed at the top level at 1:7"),
+        (SUPERPOSE_NESTED, "classical", 4,
+         "SUPERPOSE is not available in classical mode at 1:1"),
+        (SUPERPOSE_NESTED, "quantum", 4,
+         "SUPERPOSE terms must be identifiers or FUZ leaves at 1:17"),
     ],
     ids=[
         "parentheses", "not", "not-3000-classical", "not-3000-quantum",
@@ -395,19 +403,18 @@ def library_payload(expression, mode):
     ],
 )
 def test_eval_deeply_nested_expression(
-    capsys, monkeypatch, expression, mode, exit_code
+    capsys, monkeypatch, expression, mode, exit_code, message
 ):
+    # no nesting costs the parser or a walker a Python frame, so a deep
+    # expression succeeds or fails as a shallow one of its shape does
     spec = eval_spec(expression=expression, mode=mode)
     code, out, err = run_cli(capsys, monkeypatch, ["eval"], spec)
     if exit_code == 0:
-        # parentheses cost the parser no frame, and NOTs cost no walker one
         assert (code, err) == (0, "")
         assert out == library_payload(expression, mode)
     else:
-        # a right operand, a DEFUZ argument or a SUPERPOSE term costs the
-        # parser a frame
-        assert (code, out) == (4, "")
-        assert err == "error: expression nested too deeply\n"
+        assert (code, out) == (exit_code, "")
+        assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,23 @@
+import copy
 import json
 import math
+import pickle
+import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import random_ast, random_fuzzy, random_marginal_expr
+from helpers import (
+    NODE_FIELDS,
+    described,
+    random_ast,
+    random_fuzzy,
+    random_marginal_expr,
+    reference_parse,
+    reference_tree,
+)
 
 from qfuzzy import cli, exprparser, qfs
 from qfuzzy.analysis import column_report, entanglement_report, total_variation
@@ -30,6 +42,7 @@ from qfuzzy.exprparser import (
     parse,
     plan,
     pretty_print,
+    tokenize,
 )
 from qfuzzy.fuzzy import FuzzySet, com_law
 from qfuzzy.qfs import (
@@ -114,6 +127,48 @@ def test_round_trip_random_asts():
         assert parse(pretty_print(ast)) == ast
 
 
+# what random parser inputs are made of: every token kind, a number that
+# overflows, a newline, and a character the lexer rejects
+VOCABULARY = [
+    "NOT", "AND", "OR", "FUZ", "DEFUZ", "SUPERPOSE", "(", ")", ",", "*",
+    "A", "x_1", "1", "3", "0.5", "-2", "1e400", "\n", "%",
+]
+
+
+def _differential_inputs(seed):
+    """Random token strings; printed random trees; and each printed tree
+    again with some parentheses dropped and with one token replaced."""
+    rnd, rng = random.Random(seed), np.random.default_rng(seed)
+    for _ in range(4000):
+        yield " ".join(rnd.choices(VOCABULARY, k=rnd.randint(1, 15)))
+    for _ in range(2000):
+        text = pretty_print(random_ast(rng, depth=rnd.randint(0, 3)))
+        words = [tok.text for tok in tokenize(text)[:-1]]
+        dropped = [w for w in words if w not in "()" or rnd.random() < 0.7]
+        replaced = list(words)
+        replaced[rnd.randrange(len(words))] = rnd.choice(VOCABULARY)
+        for variant in (words, dropped, replaced):
+            yield ("\n" if rnd.random() < 0.2 else " ").join(variant)
+
+
+def _outcome(parser, text):
+    try:
+        return "tree", described(parser(text))
+    except ParseError as exc:
+        return "error", str(exc), exc.message, exc.line, exc.col
+
+
+def test_parse_agrees_with_recursive_descent():
+    # the same trees, the same pos on every node, and the same error and
+    # position as the recursive-descent parser the loop replaced
+    texts = list(_differential_inputs(26))
+    outcomes = [(_outcome(parse, t), _outcome(reference_parse, t)) for t in texts]
+    for text, (ours, reference) in zip(texts, outcomes):
+        assert ours == reference, text
+    errors = sum(ours[0] == "error" for ours, _ in outcomes)
+    assert len(texts) == 10_000 and 2000 < errors < 8000
+
+
 # --- pretty printing -----------------------------------------------------------
 
 
@@ -166,9 +221,67 @@ ALTERNATING_CHAIN = "(" * 4999 + "A" + " AND A) OR A)" * 2499 + " AND A)"
     ids=["AND", "OR", "alternating"],
 )
 def test_pretty_print_long_chain(source, text):
-    # the dataclass == recurses once per level, so compare with the text itself
     assert pretty_print(parse(source)) == text
-    assert pretty_print(parse(text)) == text
+    assert parse(text) == parse(source)
+
+
+# --- node classes -----------------------------------------------------------------
+
+
+def _rebuilt(node, rnd, classes=None, coefficient=lambda c: c):
+    """``node`` rebuilt with a random ``pos`` on every node, each node class
+    replaced as ``classes`` maps it and each SUPERPOSE coefficient passed
+    through ``coefficient``."""
+    if isinstance(node, Superpose):
+        fields = [tuple((coefficient(c), _rebuilt(t, rnd, classes, coefficient))
+                        for c, t in node.terms)]
+    else:
+        fields = [getattr(node, name) for name in NODE_FIELDS[type(node)]]
+        fields = [_rebuilt(v, rnd, classes, coefficient) if type(v) in NODE_FIELDS
+                  else v for v in fields]
+    cls = (classes or {}).get(type(node), type(node))
+    return cls(*fields, pos=(rnd.randint(1, 9), rnd.randint(1, 99)))
+
+
+def test_nodes_agree_with_recursive_dataclasses():
+    # ==, hash and repr as the generated dataclass methods give them: pos is
+    # ignored, a -0.0 coefficient equals 0.0, and And differs from Or
+    rnd, rng = random.Random(26), np.random.default_rng(26)
+    seen = Counter()
+    for _ in range(1000):
+        tree = _rebuilt(
+            random_ast(rng, depth=rnd.randint(0, 3)), rnd,
+            coefficient=lambda c: rnd.choice((c, 0.0)),
+        )
+        variants = {
+            "pos": _rebuilt(tree, rnd),
+            "signed zero": _rebuilt(tree, rnd, coefficient=lambda c: -c if c == 0 else c),
+            "and-or": _rebuilt(tree, rnd, classes={And: Or, Or: And}),
+            "other": random_ast(rng, depth=rnd.randint(0, 2)),
+        }
+        assert repr(tree) == repr(reference_tree(tree))
+        for kind, other in variants.items():
+            equal = reference_tree(tree) == reference_tree(other)
+            assert (tree == other, tree != other) == (equal, not equal)
+            if equal:
+                assert hash(tree) == hash(other)
+            seen[kind, equal, repr(tree) == repr(other)] += 1
+    assert seen["pos", True, True] == 1000
+    assert seen["signed zero", True, True] + seen["signed zero", True, False] == 1000
+    assert seen["signed zero", True, False] > 100
+    assert seen["and-or", False, False] > 200 and seen["other", False, False] > 500
+
+
+def test_nodes_are_immutable_and_copy_with_their_positions():
+    ast = parse("SUPERPOSE(0.5 * A, -1.5 * NOT B) OR\n FUZ(1, 2) AND DEFUZ(C)")
+    with pytest.raises(AttributeError, match="cannot assign to or delete field 'left'"):
+        ast.left = Ident("A")
+    with pytest.raises(AttributeError, match="cannot assign to or delete field 'pos'"):
+        del ast.pos
+    for copied in (pickle.loads(pickle.dumps(ast)), copy.deepcopy(ast)):
+        assert described(copied) == described(ast)
+    with pytest.raises(TypeError, match=r"And takes the fields \('left', 'right'\)"):
+        And(Ident("A"))
 
 
 # --- tree walks -------------------------------------------------------------------
@@ -224,8 +337,7 @@ def test_fold_meets_nodes_in_recursive_order():
         assert runs[0] == runs[1]
 
 
-# the dataclass == and repr recurse once per level, so the deep cases below
-# compare texts and memberships, never trees
+# deeper than Python's default recursion limit of 1000 frames
 DEEP = 10_001
 
 
@@ -237,9 +349,6 @@ def test_walks_take_any_number_of_nots():
     assert evaluate(ast, classical).memberships == (0.75, 0.0)
     negated = column_marginals(evaluate(parse("NOT A"), quantum))
     assert column_marginals(evaluate(ast, quantum)).tolist() == negated.tolist()
-    text = pretty_print(ast)
-    assert text == "(NOT " * DEEP + "A" + ")" * DEEP
-    assert pretty_print(parse(text)) == text
 
 
 def test_walks_take_a_deep_right_nested_tree():
@@ -257,26 +366,38 @@ def test_walks_take_a_deep_right_nested_tree():
 
 
 @pytest.mark.parametrize(
-    "opening", ["DEFUZ(", "SUPERPOSE(1.0 * "], ids=["DEFUZ", "SUPERPOSE"]
+    "wrap, printed, shown, shown_close, units",
+    [
+        (Not, "(NOT ", "Not(child=", ")", 20_000),
+        (
+            lambda t: And(Ident("A"), Or(Ident("A"), t)),
+            "(A AND (A OR ",
+            "And(left=Ident(name='A'), right=Or(left=Ident(name='A'), right=",
+            "))",
+            10_000,
+        ),
+        (Defuz, "DEFUZ(", "Defuz(child=", ")", 20_000),
+        (
+            lambda t: Superpose(((1.0, t),)),
+            "SUPERPOSE(1.0 * ",
+            "Superpose(terms=((1.0, ",
+            "),))",
+            20_000,
+        ),
+    ],
+    ids=["NOT", "AND-OR", "DEFUZ", "SUPERPOSE"],
 )
-def test_deepest_parsed_nesting_prints(opening):
-    # each DEFUZ or SUPERPOSE level costs the printer no more Python frames
-    # than it costs the parser, so whatever parses prints back
-    def nested(depth):
-        return opening * depth + "A" + ")" * depth
-
-    low, high = 1, DEEP
-    parse(nested(low))
-    with pytest.raises(RecursionError):
-        parse(nested(high))
-    while high - low > 1:
-        mid = (low + high) // 2
-        try:
-            parse(nested(mid))
-            low = mid
-        except RecursionError:
-            high = mid
-    assert pretty_print(parse(nested(low))) == nested(low)
+def test_any_nesting_depth_round_trips(wrap, printed, shown, shown_close, units):
+    # print, parse, ==, hash and repr each keep their own stack, so 20,000
+    # levels of any construct cost them no Python frame
+    tree = Ident("A")
+    for _ in range(units):
+        tree = wrap(tree)
+    text = pretty_print(tree)
+    assert text == printed * units + "A" + ")" * 20_000
+    ast = parse(text)
+    assert ast == tree and isinstance(hash(ast), int)
+    assert repr(ast) == shown * units + "Ident(name='A')" + shown_close * units
 
 
 @pytest.mark.parametrize(
