@@ -542,7 +542,8 @@ def evaluate(ast: ExprAst, env: Environment):
     3. Any other top-level DEFUZ builds no register.  It draws its counts
        over ``env.trials`` trials, seeded by ``env.seed``, from
        :func:`com_law` of its body's Born weights (:func:`_born_weights`),
-       as :func:`defuzzify` draws them from the register.
+       as :func:`defuzzify` draws them from the register.  Both run in
+       Python floats, as the classical DEFUZ does; numpy runs the draw.
     4. Any other quantum tree returns the register :func:`eval_quantum`
        would build as one w-qubit column per universe element
        (:class:`ColumnSet`), read with :func:`column_report` and
@@ -569,7 +570,8 @@ def evaluate(ast: ExprAst, env: Environment):
     check_register_cap(plan(ast, env), env.qubit_cap)
     if isinstance(ast, Defuz):
         rng = np.random.default_rng(env.seed)
-        return draw_counts(com_law(*_born_weights(body, env)), rng, env.trials)
+        law = com_law(*_born_weights(body, env))
+        return draw_counts(np.array(law), rng, env.trials)
     return _fold(
         ast, lambda leaf: _leaf_columns(leaf, env), column_not, column_and, column_or
     )
@@ -623,7 +625,7 @@ def _quantum_state(node: ExprAst, env: Environment) -> QuantumFuzzySet:
 
 def _leaf_state(node: Ident | Fuz | Superpose, env: Environment) -> QuantumFuzzySet:
     if isinstance(node, Fuz):
-        one_hot = np.zeros(env.universe_size)
+        one_hot = [0.0] * env.universe_size
         one_hot[node.index - 1] = 1.0
         seeded = encode(FuzzySet(one_hot), cap=env.qubit_cap)
         return fuz_isometry(seeded, node.k, cap=env.qubit_cap)
@@ -633,28 +635,32 @@ def _leaf_state(node: Ident | Fuz | Superpose, env: Environment) -> QuantumFuzzy
     return encode(_leaf(node, env), cap=env.qubit_cap)
 
 
-def _born_weights(node: ExprAst, env: Environment) -> np.ndarray:
-    """(2, N) Born weights of each element's value bit being 0 and 1 in the
-    register a SUPERPOSE-free ``node`` evaluates to.  A leaf encodes
-    (1 - m, m), which for a FUZ window is (1/2, 1/2) inside and (1, 0)
-    outside; NOT swaps the rows; AND's Toffoli sets the bit with weight
-    a1 b1; OR is NOT(NOT a AND NOT b), as :func:`qor` is.  Pairs, not the
-    memberships of :func:`_classical_set`, keep the register's exact zeros:
-    the union f + g - fg with f = 1 can leave about 1e-17 on a bit the
-    register holds crisply, and that moves the sampled counts.
+def _born_weights(node: ExprAst, env: Environment) -> tuple[list, list]:
+    """Born weights of each element's value bit being 0 and 1 in the
+    register a SUPERPOSE-free ``node`` evaluates to, as two lists of N
+    floats.  A leaf encodes (1 - m, m), which for a FUZ window is (1/2, 1/2)
+    inside and (1, 0) outside; NOT swaps the lists; AND's Toffoli sets the
+    bit with weight a1 b1; OR is NOT(NOT a AND NOT b), as :func:`qor` is.
+    Pairs, not the memberships of :func:`_classical_set`, keep the
+    register's exact zeros: the union f + g - fg with f = 1 can leave about
+    1e-17 on a bit the register holds crisply, and that moves the sampled
+    counts.
     """
 
-    def leaf(node: Ident | Fuz) -> np.ndarray:
-        m = np.asarray(_leaf(node, env).memberships)
-        return np.stack((1.0 - m, m))
+    def leaf(node: Ident | Fuz) -> tuple[list, list]:
+        m = _leaf(node, env).memberships
+        return [1.0 - x for x in m], list(m)
 
-    def negate(w: np.ndarray) -> np.ndarray:
+    def negate(w: tuple[list, list]) -> tuple[list, list]:
         return w[::-1]
 
-    def conj(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.stack((a[0] * (b[0] + b[1]) + a[1] * b[0], a[1] * b[1]))
+    def conj(a: tuple[list, list], b: tuple[list, list]) -> tuple[list, list]:
+        return (
+            [x0 * (y0 + y1) + x1 * y0 for x0, x1, y0, y1 in zip(*a, *b)],
+            [x1 * y1 for x1, y1 in zip(a[1], b[1])],
+        )
 
-    def disj(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def disj(a: tuple[list, list], b: tuple[list, list]) -> tuple[list, list]:
         return negate(conj(negate(a), negate(b)))
 
     return _fold(node, leaf, negate, conj, disj)

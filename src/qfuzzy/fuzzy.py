@@ -35,7 +35,8 @@ class FuzzySet:
     def __post_init__(self) -> None:
         values = self.memberships
         m = ()
-        if getattr(values, "ndim", 1) == 1:  # an array must be 1-d
+        text = isinstance(values, (str, bytes, bytearray))  # not memberships
+        if getattr(values, "ndim", 1) == 1 and not text:  # an array must be 1-d
             try:
                 m = tuple(map(float, values))
             except TypeError:  # a scalar, or a nested sequence
@@ -121,13 +122,6 @@ def _bits_of(bits: CrispSubset | str) -> str:
     return bits.bits if isinstance(bits, CrispSubset) else CrispSubset(bits).bits
 
 
-def com_from_sums(count, index_sum):
-    """Center-of-mass index of subsets with ``count`` members whose indices
-    add up to ``index_sum``: ``index_sum // count``, and the sentinel 0 for
-    the empty set.  Works elementwise on integer arrays."""
-    return np.where(count > 0, index_sum // np.maximum(count, 1), 0)
-
-
 def com_index(bits: CrispSubset | str) -> int:
     """Center of mass of the set bits: floor(sum of set indices / their count).
 
@@ -162,69 +156,31 @@ def oracle_distribution(f: FuzzySet) -> dict[str, float]:
     return {format(i, f"0{n}b"): float(p) for i, p in enumerate(probs)}
 
 
-def com_law(absent: np.ndarray, present: np.ndarray) -> np.ndarray:
+def com_law(absent, present) -> list[float]:
     """Distribution of the center-of-mass index 0..N of a random subset of
     {1..N} whose elements are independently absent or present with the
-    given weights (``absent[i-1] + present[i-1]`` is 1 for each element).
+    given weights (``absent[i-1] + present[i-1]`` is 1 for each element),
+    as a list of N + 1 floats.
 
     A dynamic program over (member count, index sum) instead of the 2^N
-    subsets.  ``P[c, s]`` is the probability that the subset of elements
-    1..i has c members whose indices sum to s; element i updates it as
-    ``P <- P absent_i + shift(P, by (1, i)) present_i``, touching only the
-    block elements 1..i-1 can reach (c < i, s <= i(i-1)/2).  Each count row
-    of ``P`` is then binned in place by :func:`com_from_sums` of its (c, s),
-    cell by cell in table order.  ``P`` holds (N + 1) x (N(N+1)/2 + 1)
-    reals, O(N^3) memory, and the steps take O(N^4) time in all.
+    subsets, in Python floats.  ``P[c][s]`` is the probability that the
+    subset of elements 1..i has c members whose indices sum to s; element i
+    updates it as ``P <- P absent_i + shift(P, by (1, i)) present_i``,
+    touching only the block elements 1..i-1 can reach (c < i,
+    s <= i(i-1)/2).  Each count row is then binned cell by cell in table
+    order into the index ``s // c`` (the sentinel 0 for c = 0); adding a
+    zero cell changes nothing, so those are skipped.  ``P`` holds
+    (N + 1) x (N(N+1)/2 + 1) floats, 32 bytes each with their list slots,
+    O(N^3) memory, and the steps take O(N^4) time in all: about 3.6 ms at
+    N = 21, 31 ms at N = 40 and 1.1 s at N = 100.
 
-    The quantum DEFUZ of a SUPERPOSE-free body calls this on its Born
-    weights; :func:`com_pushforward` runs the same program in Python floats
-    for the classical law, bit for bit.  This one stays in numpy because
-    its caller has already loaded numpy to draw the counts, and with numpy
-    loaded it is the faster of the two at every N: 0.25 ms against 0.4 ms
-    at N = 10, 35 ms against 1.3 s at N = 100, where a raised qubit cap
-    lets the quantum route go.
+    Both DEFUZ laws run it: :func:`com_pushforward` on (1 - f, f), and the
+    quantum DEFUZ of a SUPERPOSE-free body on its Born weights.
     """
-    n = absent.size
-    p = np.zeros((n + 1, n * (n + 1) // 2 + 1))
-    p[0, 0] = 1.0
-    for i, (w0, w1) in enumerate(zip(absent, present), start=1):
-        reach = (i - 1) * i // 2 + 1
-        block = p[:i, :reach]
-        joined = block * w1
-        block *= w0
-        p[1 : i + 1, i : i + reach] += joined
-        del joined  # else it lives on beside the next step's
-    sums = np.arange(p.shape[1])
-    mass = np.zeros(p.shape[1])
-    for count, row in enumerate(p):
-        np.add.at(mass, com_from_sums(count, sums), row)
-    return mass[: n + 1]  # a cell with s > N c, past index N, is unreachable
-
-
-def com_pushforward(f: FuzzySet) -> dict[int, float]:
-    """Exact distribution of the center-of-mass index under the collapse law,
-    element i present with probability f(i).  Only indices of positive
-    probability appear, in ascending order.  Universes above
-    :data:`MAX_ENUM_UNIVERSE` are refused.
-
-    This is :func:`com_law` of (1 - f, f) with the same bits, run in Python
-    floats so that a classical ``eval`` never loads numpy: each cell takes
-    the same products and sums in the same order, and each count row is
-    binned cell by cell in table order, as ``np.add.at`` bins it (adding a
-    zero cell changes nothing, so those are skipped).  The Python program
-    takes about 2 ms at N = 20, where importing numpy takes over 100 ms;
-    it reaches that import's cost only near N = 50.
-    """
-    n = f.universe_size
-    if n > MAX_ENUM_UNIVERSE:
-        raise ValueError(
-            f"universe of size {n} exceeds the classical DEFUZ limit of "
-            f"{MAX_ENUM_UNIVERSE}"
-        )
+    n = len(absent)
     p = [[0.0] * (n * (n + 1) // 2 + 1) for _ in range(n + 1)]
     p[0][0] = 1.0
-    for i, w1 in enumerate(f.memberships, start=1):
-        w0 = 1.0 - w1
+    for i, (w0, w1) in enumerate(zip(absent, present), start=1):
         reach = (i - 1) * i // 2 + 1
         for c in range(i, -1, -1):  # downwards: row c - 1 is still unscaled
             row = p[c]
@@ -239,4 +195,21 @@ def com_pushforward(f: FuzzySet) -> dict[int, float]:
         for s, x in enumerate(row):
             if x > 0.0:  # a positive cell has s <= N count
                 mass[s // count if count else 0] += x
-    return {k: x for k, x in enumerate(mass) if x > 0.0}
+    return mass
+
+
+def com_pushforward(f: FuzzySet) -> dict[int, float]:
+    """Exact distribution of the center-of-mass index under the collapse law,
+    element i present with probability f(i): :func:`com_law` of (1 - f, f).
+    Only indices of positive probability appear, in ascending order.
+    Universes above :data:`MAX_ENUM_UNIVERSE` are refused.
+    """
+    n = f.universe_size
+    if n > MAX_ENUM_UNIVERSE:
+        raise ValueError(
+            f"universe of size {n} exceeds the classical DEFUZ limit of "
+            f"{MAX_ENUM_UNIVERSE}"
+        )
+    m = f.memberships
+    law = com_law([1.0 - x for x in m], m)
+    return {k: x for k, x in enumerate(law) if x > 0.0}

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 from ._lazy import lazy_import
 from .errors import _brief
-from .fuzzy import FuzzySet, CrispSubset, com_from_sums, common_universe
+from .fuzzy import FuzzySet, CrispSubset, common_universe
 from .statevec import (
     AMP_SLICE,
     DEFAULT_QUBIT_CAP,
@@ -392,10 +392,10 @@ def fuz_isometry(
 
 
 def _com_table(n: int) -> np.ndarray:
-    """:func:`com_index` of every n-bit pattern, indexed by the pattern:
-    :func:`com_from_sums` of its popcount and the sum of its set indices
-    (element 1 is the most significant bit), as a fresh array on each
-    call."""
+    """:func:`com_index` of every n-bit pattern, indexed by the pattern: the
+    sum of its set indices floor-divided by its popcount, and the sentinel 0
+    for the empty pattern (element 1 is the most significant bit), as a
+    fresh array on each call."""
     patterns = np.arange(1 << n, dtype=np.int64)
     count = np.zeros_like(patterns)
     index_sum = np.zeros_like(patterns)
@@ -403,7 +403,7 @@ def _com_table(n: int) -> np.ndarray:
         bit = (patterns >> (n - i)) & 1
         count += bit
         index_sum += i * bit
-    return com_from_sums(count, index_sum)
+    return np.where(count > 0, index_sum // np.maximum(count, 1), 0)
 
 
 def u_com(state: StateVector) -> StateVector:
@@ -446,8 +446,8 @@ def defuzzify(
     :func:`_com_table`.  The cap still counts the N ancillas.  The trials
     are independent, so :func:`draw_counts` draws them in one pass from
     that marginal.  (``exprparser.evaluate`` draws a SUPERPOSE-free
-    expression's counts from per-element weights instead, without a
-    register.)
+    expression's counts from :func:`~qfuzzy.fuzzy.com_law` of per-element
+    weights instead, in Python floats and without a register.)
     """
     check_shots(trials, "trials")
     n = q.universe_size

@@ -14,6 +14,7 @@ import numpy as np
 from qfuzzy.errors import _brief
 from qfuzzy.exprparser import And, Defuz, ExprAst, Fuz, Ident, Not, Or, Superpose
 from qfuzzy.exprparser import Environment, ParseError, Token, plan, tokenize
+from qfuzzy.exprparser import _fold, _leaf
 from qfuzzy.fuzzy import FuzzySet
 from qfuzzy.statevec import StateVector
 
@@ -26,6 +27,53 @@ def peak_bytes(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def com_of_sums(count, index_sum):
+    """Center-of-mass index of subsets with ``count`` members whose indices
+    add up to ``index_sum``, elementwise on integer arrays: ``index_sum //
+    count``, and the sentinel 0 for the empty set."""
+    return np.where(count > 0, index_sum // np.maximum(count, 1), 0)
+
+
+def reference_com_law(absent, present) -> np.ndarray:
+    """The (count, index-sum) dynamic program in numpy, with its table
+    binned in one ``bincount`` over ``np.indices`` grids of every cell, in
+    row-major order."""
+    absent, present = np.asarray(absent), np.asarray(present)
+    n = absent.size
+    p = np.zeros((n + 1, n * (n + 1) // 2 + 1))
+    p[0, 0] = 1.0
+    for i, (w0, w1) in enumerate(zip(absent, present), start=1):
+        reach = (i - 1) * i // 2 + 1
+        block = p[:i, :reach]
+        joined = block * w1
+        block *= w0
+        p[1 : i + 1, i : i + reach] += joined
+    count, index_sum = np.indices(p.shape)
+    mass = np.bincount(com_of_sums(count, index_sum).ravel(), weights=p.ravel())
+    return mass[: n + 1]
+
+
+def reference_born_weights(node: ExprAst, env: Environment) -> np.ndarray:
+    """(2, N) Born weights of each element's value bit being 0 and 1, with
+    numpy rows: a leaf stacks (1 - m, m), NOT swaps the rows, AND gives
+    (a0 (b0 + b1) + a1 b0, a1 b1), and OR is NOT(NOT a AND NOT b)."""
+
+    def leaf(node: Ident | Fuz) -> np.ndarray:
+        m = np.asarray(_leaf(node, env).memberships)
+        return np.stack((1.0 - m, m))
+
+    def negate(w: np.ndarray) -> np.ndarray:
+        return w[::-1]
+
+    def conj(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.stack((a[0] * (b[0] + b[1]) + a[1] * b[0], a[1] * b[1]))
+
+    def disj(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return negate(conj(negate(a), negate(b)))
+
+    return _fold(node, leaf, negate, conj, disj)
 
 
 def perfbench_workloads():

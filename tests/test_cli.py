@@ -18,8 +18,8 @@ import qfuzzy
 from qfuzzy import serialize
 from qfuzzy.analysis import column_report
 from qfuzzy.cli import _quantum_payload, main
-from qfuzzy.exprparser import Environment, eval_classical, evaluate, parse
-from qfuzzy.fuzzy import MAX_ENUM_UNIVERSE, FuzzySet
+from qfuzzy.exprparser import Environment, _born_weights, eval_classical, evaluate, parse
+from qfuzzy.fuzzy import MAX_ENUM_UNIVERSE, FuzzySet, com_law, com_pushforward
 from qfuzzy.qfs import column_marginals
 
 
@@ -1051,3 +1051,35 @@ def test_numpy_loads_only_where_arrays_are_used(argv, stdin, exit_code, loads_nu
         timeout=60,
     )
     assert proc.stderr.splitlines()[-1] == f"{exit_code} {loads_numpy}"
+
+
+#: Prints both DEFUZ laws of the probe sets, then whether numpy was imported.
+_LAW_PROBE = """
+import sys
+from qfuzzy.exprparser import Environment, _born_weights, parse
+from qfuzzy.fuzzy import FuzzySet, com_law, com_pushforward
+sets = {name: FuzzySet(m) for name, m in %r.items()}
+env = Environment(universe_size=3, bindings=sets, mode="quantum")
+ast = parse("NOT A AND (B OR FUZ(2, 1))")
+print(com_law(*_born_weights(ast, env)), com_pushforward(sets["A"]))
+print("numpy._core" in sys.modules)
+""" % PROBE_SETS
+
+
+def test_defuz_laws_need_no_numpy():
+    """Both DEFUZ laws, the quantum one of a SUPERPOSE-free body's Born
+    weights and the classical one, run in a fresh interpreter without
+    numpy, and print what they give in this process."""
+    src = Path(qfuzzy.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAW_PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    sets = {name: FuzzySet(m) for name, m in PROBE_SETS.items()}
+    env = Environment(universe_size=3, bindings=sets, mode="quantum")
+    law = com_law(*_born_weights(parse("NOT A AND (B OR FUZ(2, 1))"), env))
+    assert proc.stdout.splitlines() == [f"{law} {com_pushforward(sets['A'])}", "False"]

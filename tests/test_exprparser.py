@@ -15,6 +15,8 @@ from helpers import (
     random_ast,
     random_fuzzy,
     random_marginal_expr,
+    reference_born_weights,
+    reference_com_law,
     reference_parse,
     reference_tree,
 )
@@ -598,9 +600,30 @@ def test_defuz_weights_law_matches_dense_register():
         env = Environment(universe_size=n, bindings=bindings, mode="quantum")
         ast = random_marginal_expr(rng, names, n, depth=4, budget=20)
         dense = _dense_law(ast, env)
-        law = com_law(*_born_weights(ast, env))
+        law = np.array(com_law(*_born_weights(ast, env)))
         assert np.max(np.abs(law - dense)) <= 1e-12, pretty_print(ast)
         assert np.array_equal(law == 0.0, dense == 0.0), pretty_print(ast)
+
+
+def test_defuz_weights_and_law_keep_the_numpy_bits():
+    """The Python-float Born weights and law against the numpy programs
+    they replace, bit for bit, on crisp-heavy random trees."""
+    rng = np.random.default_rng(137)
+    names = ["A", "B", "C"]
+    words = ("NOT", "AND", "OR", "FUZ")
+    shown = Counter()
+    for _ in range(2000):
+        n = int(rng.integers(1, 13))
+        bindings = {name: _crisp_heavy(rng, n) for name in names}
+        env = Environment(universe_size=n, bindings=bindings, mode="quantum")
+        ast = random_marginal_expr(rng, names, n, depth=4, budget=12 * n)
+        text = pretty_print(ast)
+        shown.update(word for word in words if word in text)
+        weights, expected = _born_weights(ast, env), reference_born_weights(ast, env)
+        assert np.array(weights).tobytes() == expected.tobytes(), text
+        law = np.array(com_law(*weights))
+        assert law.tobytes() == reference_com_law(*expected).tobytes(), text
+    assert min(shown[word] for word in words) >= 500, shown
 
 
 def _run_eval(tmp_path, capsys, spec, *flags):
@@ -718,7 +741,7 @@ def test_defuz_past_classical_limit_with_raised_cap(tmp_path, capsys):
     assert (code, err) == (0, "")
     env = Environment(21, {"A": f}, mode="quantum", qubit_cap=42)
     dense = _dense_law(Ident("A"), env)
-    law = com_law(*_born_weights(Ident("A"), env))
+    law = np.array(com_law(*_born_weights(Ident("A"), env)))
     assert np.max(np.abs(law - dense)) <= 1e-12
     assert np.array_equal(law == 0.0, dense == 0.0)
     expected = defuzzify(encode(f, cap=42), np.random.default_rng(9), 2000, cap=42)
