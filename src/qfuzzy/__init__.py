@@ -13,8 +13,6 @@ from .analysis import (
     cfs_inner,
     check_orthogonality,
     entanglement_report,
-    sampling_vs_oracle,
-    total_variation,
 )
 from .errors import ResourceLimitError
 from .exprparser import (
@@ -32,12 +30,10 @@ from .fuzzy import (
     CrispSubset,
     FuzzySet,
     classical_fuzzify,
-    com_index,
     com_pushforward,
     complement,
     crisp_subset_probability,
     intersect,
-    oracle_distribution,
     union,
 )
 from .qfs import (
@@ -47,29 +43,35 @@ from .qfs import (
     encode,
     expansion_coeff,
     fuz_isometry,
-    fuz_linear,
     qand,
     qnot,
     qor,
-    rotation_gate,
     superpose,
-    u_com,
     value_marginals,
+)
+from .reference import (
+    PAULI_X,
+    apply_controlled,
+    apply_single,
+    com_index,
+    fuz_linear,
+    ground_state,
+    measure_qubits,
+    one_probabilities,
+    oracle_distribution,
+    rotation_gate,
+    sampling_vs_oracle,
+    total_variation,
+    u_com,
 )
 from .statevec import (
     DEFAULT_QUBIT_CAP,
-    PAULI_X,
     StateVector,
-    apply_controlled,
-    apply_single,
     basis_probability,
     basis_state,
     bloch_point,
     factor_product_state,
-    ground_state,
     inner_product,
-    measure_qubits,
-    one_probabilities,
     sample_distribution,
     schmidt_rank,
     tensor_product,

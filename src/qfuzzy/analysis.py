@@ -1,22 +1,22 @@
-"""Structural diagnostics: orthogonality, entanglement, sampling checks."""
+"""Structural diagnostics: orthogonality and entanglement.
+
+The sampling-vs-enumeration check lives with the other oracles in
+:mod:`qfuzzy.reference`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from ._lazy import lazy_import
-from .fuzzy import FuzzySet, common_universe, oracle_distribution
-from .qfs import ColumnSet, QuantumFuzzySet, encode
-from .statevec import StateVector, _qubit_split, check_shots, sample_distribution
+from .fuzzy import FuzzySet, common_universe
+from .qfs import ColumnSet, QuantumFuzzySet
+from .statevec import StateVector, _qubit_split
 
 np = lazy_import("numpy")
 
 #: Phases below this magnitude are reported as exactly 0.
 PHASE_SNAP_TOL = 1e-10
-
-#: Largest universe accepted by the sampling-vs-enumeration comparison.
-MAX_SAMPLING_UNIVERSE = 12
 
 
 @dataclass(frozen=True)
@@ -115,28 +115,3 @@ def _report(ranks: np.ndarray, tops: np.ndarray | None) -> EntanglementReport:
     return EntanglementReport(
         ranks, True, FuzzySet(memberships), tuple(phases), factors
     )
-
-
-def total_variation(p: Mapping, q: Mapping) -> float:
-    """Total-variation distance between two discrete distributions,
-    half the L1 distance over the union of their keys."""
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
-
-
-def sampling_vs_oracle(
-    f: FuzzySet,
-    rng: np.random.Generator,
-    shots: int,
-) -> float:
-    """Total-variation distance between sampled measurement frequencies of
-    the encoded state and the exact enumeration of collapse probabilities."""
-    if f.universe_size > MAX_SAMPLING_UNIVERSE:
-        raise ValueError(
-            f"universe of size {f.universe_size} is too large to compare "
-            f"(limit {MAX_SAMPLING_UNIVERSE})"
-        )
-    check_shots(shots)
-    counts = sample_distribution(encode(f).state, rng, shots)
-    empirical = {bits: c / shots for bits, c in counts.items()}
-    return total_variation(empirical, oracle_distribution(f))

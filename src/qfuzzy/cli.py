@@ -57,6 +57,9 @@ def _load_json(text: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON: {exc}") from None
+    except ValueError:  # int() refuses a literal past its digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"malformed JSON: integer over {limit} digits") from None
     except RecursionError:
         raise ValueError("malformed JSON: nested too deeply") from None
 

@@ -4,13 +4,16 @@ The connective family is the probabilistic one: complement ``1 - f``,
 intersection ``f * g``, and the union ``f + g - f*g`` obtained from them by
 De Morgan.  Crisp subsets are bitstrings with element 1 leftmost, mirroring
 the register convention of :mod:`qfuzzy.statevec`.
+
+The laws here are computed without enumerating subsets; the enumerations
+over all 2^N crisp subsets that check them (``oracle_distribution``,
+``com_index``) live in :mod:`qfuzzy.reference`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 from ._lazy import lazy_import
 
@@ -118,22 +121,6 @@ def classical_fuzzify(crisp_index: int, k: int, universe_size: int) -> FuzzySet:
     return FuzzySet([0.5 if i in inside else 0.0 for i in range(1, universe_size + 1)])
 
 
-def _bits_of(bits: CrispSubset | str) -> str:
-    return bits.bits if isinstance(bits, CrispSubset) else CrispSubset(bits).bits
-
-
-def com_index(bits: CrispSubset | str) -> int:
-    """Center of mass of the set bits: floor(sum of set indices / their count).
-
-    All-zero input has no mass and maps to the sentinel index 0.
-    """
-    b = _bits_of(bits)
-    mass = b.count("1")
-    if mass == 0:
-        return 0
-    return sum(i for i, c in enumerate(b, start=1) if c == "1") // mass
-
-
 def crisp_subset_probability(f: FuzzySet, s: CrispSubset) -> float:
     """Probability that measuring the encoded register collapses onto ``s``:
     the product of f(i) over members and 1 - f(i) over non-members."""
@@ -141,19 +128,6 @@ def crisp_subset_probability(f: FuzzySet, s: CrispSubset) -> float:
     inside = np.array([c == "1" for c in s.bits])
     m = np.asarray(f.memberships)
     return float(np.prod(np.where(inside, m, 1.0 - m)))
-
-
-def oracle_distribution(f: FuzzySet) -> dict[str, float]:
-    """Exact collapse distribution over all 2^N crisp subsets, by enumeration."""
-    n = f.universe_size
-    if n > MAX_ENUM_UNIVERSE:
-        raise ValueError(
-            f"universe of size {n} is too large to enumerate "
-            f"(limit {MAX_ENUM_UNIVERSE})"
-        )
-    per_qubit = [np.array([1.0 - p, p]) for p in f.memberships]
-    probs = reduce(np.kron, per_qubit)
-    return {format(i, f"0{n}b"): float(p) for i, p in enumerate(probs)}
 
 
 def com_law(absent, present) -> list[float]:

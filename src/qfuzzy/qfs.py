@@ -150,15 +150,6 @@ class ColumnSet:
         )
 
 
-def rotation_gate(p: float) -> np.ndarray:
-    """Real rotation taking |0> to sqrt(1-p)|0> + sqrt(p)|1>."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"membership must lie in [0, 1], got {p}")
-    c = math.sqrt(1.0 - p)
-    s = math.sqrt(p)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
-
-
 def _product_amplitudes(memberships: np.ndarray) -> np.ndarray:
     """Amplitudes of the product state with qubit i in
     sqrt(1-m_i)|0> + sqrt(m_i)|1>, for the memberships along the last axis
@@ -195,9 +186,10 @@ def encode(f: FuzzySet, cap: int = DEFAULT_QUBIT_CAP) -> QuantumFuzzySet:
     """Load a fuzzy set into a fresh register, one qubit per element.
 
     In the paper each qubit i is rotated from |0> to
-    sqrt(1-f(i))|0> + sqrt(f(i))|1> by :func:`rotation_gate`.  The rotations
-    act on separate qubits, so the register is the product state, built
-    directly as the kron of those columns; its basis amplitudes are given by
+    sqrt(1-f(i))|0> + sqrt(f(i))|1> by the reference circuit's
+    :func:`~qfuzzy.reference.rotation_gate`.  The rotations act on separate
+    qubits, so the register is the product state, built directly as the
+    kron of those columns; its basis amplitudes are given by
     :func:`expansion_coeff`.
     """
     n = f.universe_size
@@ -329,34 +321,6 @@ def _windows(patterns: Iterable[int], k: int, n: int) -> Iterator[tuple]:
         yield p, index, math.prod([math.sqrt(0.5)] * window.bit_count())
 
 
-def fuz_linear(state: StateVector, k: int, renormalize: bool = False) -> StateVector:
-    """Square-window fuzzification as a linear (not unitary) map.
-
-    Each basis state maps to the product state with qubit i in
-    (|0>+|1>)/sqrt(2) whenever some set bit lies within distance ``k`` of i,
-    and |0> otherwise: one value on a sub-block of the output read as N axes
-    of size 2.  A superposition maps to the sum of those images, so each
-    nonzero amplitude adds amplitude x value into its pattern's sub-block.
-    Distinct basis states can share an image, so norm is generally not
-    preserved; with ``renormalize`` the output is rescaled to unit norm and
-    a complete cancellation raises.
-    """
-    if k < 0:
-        raise ValueError(f"window radius must be >= 0, got {k}")
-    n = state.n_qubits
-    out = np.zeros((2,) * n, dtype=np.complex128)
-    for p, window, value in _windows(np.flatnonzero(state.amplitudes), k, n):
-        out[window] += state.amplitudes[p] * value
-    if renormalize:
-        norm = np.linalg.norm(out)
-        if norm < NORM_TOL:
-            raise ValueError(
-                "fuzzified state cancelled to norm ~0 and cannot be renormalized"
-            )
-        out = out / norm
-    return StateVector(n, out.reshape(-1))
-
-
 def fuz_isometry(
     q: QuantumFuzzySet,
     k: int,
@@ -392,10 +356,10 @@ def fuz_isometry(
 
 
 def _com_table(n: int) -> np.ndarray:
-    """:func:`com_index` of every n-bit pattern, indexed by the pattern: the
-    sum of its set indices floor-divided by its popcount, and the sentinel 0
-    for the empty pattern (element 1 is the most significant bit), as a
-    fresh array on each call."""
+    """:func:`~qfuzzy.reference.com_index` of every n-bit pattern, indexed
+    by the pattern: the sum of its set indices floor-divided by its
+    popcount, and the sentinel 0 for the empty pattern (element 1 is the
+    most significant bit), as a fresh array on each call."""
     patterns = np.arange(1 << n, dtype=np.int64)
     count = np.zeros_like(patterns)
     index_sum = np.zeros_like(patterns)
@@ -404,27 +368,6 @@ def _com_table(n: int) -> np.ndarray:
         count += bit
         index_sum += i * bit
     return np.where(count > 0, index_sum // np.maximum(count, 1), 0)
-
-
-def u_com(state: StateVector) -> StateVector:
-    """Center-of-mass defuzzification as a unitary on a doubled register.
-
-    On a 2n-qubit register, maps |u>|v> to |u>|v XOR c(u)> where c(u) is the
-    one-hot bitstring of the center-of-mass index of u (all zeros for the
-    massless input).  A basis permutation and an involution (the XOR mask
-    reads only u, which it leaves alone), so its action on amplitudes is one
-    gather ``amps[i XOR mask(i)]``; u is the top n bits of index i.
-    """
-    if state.n_qubits % 2:
-        raise ValueError(
-            f"u_com needs an even register, got {state.n_qubits} qubits"
-        )
-    n = state.n_qubits // 2
-    com = _com_table(n)
-    one_hot = np.where(com > 0, 1 << (n - com), 0)
-    idx = np.arange(state.dim, dtype=np.int64)
-    idx ^= one_hot[idx >> n]
-    return StateVector(state.n_qubits, state.amplitudes[idx])
 
 
 def defuzzify(
@@ -437,13 +380,13 @@ def defuzzify(
 
     In the paper each trial pads the register with N ancilla qubits in
     |0..0>, routes the value segment through the center-of-mass XOR
-    permutation (:func:`u_com` when the register is just the value segment),
-    measures the ancillas, and decodes the one-hot outcome (all zeros
-    decodes to the sentinel 0).  The ancillas then read c with the total
-    probability of the value bit patterns whose center of mass is c, so that
-    marginal is summed from the unpadded register read as a (before, value,
-    after) array: the distribution along the value axis, binned by
-    :func:`_com_table`.  The cap still counts the N ancillas.  The trials
+    permutation (the reference :func:`~qfuzzy.reference.u_com` when the
+    register is just the value segment), measures the ancillas, and decodes
+    the one-hot outcome (all zeros decodes to the sentinel 0).  The
+    ancillas then read c with the total probability of the value bit
+    patterns whose center of mass is c, so that marginal is summed from the
+    unpadded register read as a (before, value, after) array: the
+    distribution along the value axis, binned by :func:`_com_table`.  The cap still counts the N ancillas.  The trials
     are independent, so :func:`draw_counts` draws them in one pass from
     that marginal.  (``exprparser.evaluate`` draws a SUPERPOSE-free
     expression's counts from :func:`~qfuzzy.fuzzy.com_law` of per-element

@@ -198,7 +198,7 @@ def qfs_to_dict(q: QuantumFuzzySet) -> dict:
 def qfs_from_dict(d: Mapping, cap: int) -> QuantumFuzzySet:
     """Parse a state document; a layout wider than ``cap`` qubits raises
     :class:`ResourceLimitError`, and an amplitude count that does not match
-    the layout a ValueError, before any amplitude is read."""
+    the layout a ValueError, before any amplitude is converted."""
     _json_object(d, "state")
     layout_rows = _require(d, "layout", "state")
     raw = _require(d, "amplitudes", "state")
@@ -225,9 +225,11 @@ def qfs_from_dict(d: Mapping, cap: int) -> QuantumFuzzySet:
     check_register_cap(total, cap)
     if not isinstance(raw, (list, tuple)):
         raise ValueError("amplitudes must be an array of [re, im] pairs")
-    if len(raw) != 1 << total:
+    if len(raw) != 1 << min(total, 63):  # no document holds 2^63 amplitudes
+        expected = 1 << total if total < 63 else f"2^{total}"
         raise ValueError(
-            f"expected {1 << total} amplitudes for {total} qubits, got {len(raw)}"
+            f"expected {_brief(expected, str)} amplitudes for "
+            f"{_brief(total, str)} qubits, got {len(raw)}"
         )
     # checked in bulk: every pair a 2-element array of JSON numbers
     if not (

@@ -9,13 +9,19 @@ public API are therefore 1-based throughout.
 fresh instance and never writes through an input.  The constructor does not
 copy the amplitude array it is given, so callers must not mutate arrays they
 hand over.
+
+This module keeps what the runtime runs: the register, products, sampling
+and the per-qubit splits behind the entanglement report.  The paper's
+circuits, applied one gate at a time (``apply_single``,
+``apply_controlled``, ``measure_qubits``), are oracles and live in
+:mod:`qfuzzy.reference`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ._lazy import lazy_import
 from .errors import ResourceLimitError, _brief
@@ -37,10 +43,6 @@ AMP_SLICE = 1 << 12
 #: Most trials one sampling call draws: ``Generator.multinomial`` takes its
 #: count as an int64.
 MAX_SHOTS = 2**63 - 1
-
-#: Single-qubit gates as nested tuples, which every gate argument accepts.
-IDENTITY = ((1.0, 0.0), (0.0, 1.0))
-PAULI_X = ((0.0, 1.0), (1.0, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,16 +85,6 @@ def check_register_cap(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> None:
         )
 
 
-def ground_state(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
-    """Return ``|00...0>`` on ``n_qubits`` qubits."""
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    check_register_cap(n_qubits, cap)
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(n_qubits, amps)
-
-
 def bits_to_index(n_qubits: int, bits: str) -> int:
     """Translate a bitstring (qubit 1 leftmost) into a basis index."""
     if len(bits) != n_qubits:
@@ -118,65 +110,9 @@ def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.n_qubits + b.n_qubits, np.kron(a.amplitudes, b.amplitudes))
 
 
-def _as_gate(gate: np.ndarray) -> np.ndarray:
-    m = np.asarray(gate, dtype=np.complex128)
-    if m.shape != (2, 2):
-        raise ValueError(f"single-qubit gate must be 2x2, got shape {m.shape}")
-    deviation = float(np.max(np.abs(m @ m.conj().T - np.eye(2))))
-    if deviation > NORM_TOL:
-        raise ValueError(f"gate is not unitary (max deviation {deviation:.3e})")
-    return m
-
-
 def _check_qubit(state: StateVector, qubit: int, what: str = "qubit") -> None:
     if not 1 <= qubit <= state.n_qubits:
         raise ValueError(f"{what} {qubit} out of range 1..{state.n_qubits}")
-
-
-def apply_single(state: StateVector, gate: np.ndarray, target: int) -> StateVector:
-    """Apply a 2x2 unitary to qubit ``target``, identity elsewhere."""
-    m = _as_gate(gate)
-    _check_qubit(state, target, "target")
-    axis = target - 1
-    psi = state.amplitudes.reshape([2] * state.n_qubits)
-    out = np.tensordot(m, psi, axes=([1], [axis]))
-    out = np.moveaxis(out, 0, axis)
-    return StateVector(state.n_qubits, np.ascontiguousarray(out).reshape(-1))
-
-
-def apply_controlled(
-    state: StateVector,
-    gate: np.ndarray,
-    controls: Iterable[int],
-    target: int,
-) -> StateVector:
-    """Apply ``gate`` to ``target`` on components where every control bit is 1.
-
-    With two controls and a Pauli-X this is the Toffoli gate.
-    """
-    m = _as_gate(gate)
-    controls = list(controls)
-    for q in controls:
-        _check_qubit(state, q, "control")
-    _check_qubit(state, target, "target")
-    if len({*controls, target}) != len(controls) + 1:
-        raise ValueError(
-            f"controls {controls} and target {target} must be pairwise distinct"
-        )
-    n = state.n_qubits
-    tmask = 1 << (n - target)
-    cmask = 0
-    for q in controls:
-        cmask |= 1 << (n - q)
-    idx = np.arange(1 << n)
-    sel0 = np.nonzero(((idx & cmask) == cmask) & ((idx & tmask) == 0))[0]
-    sel1 = sel0 | tmask
-    amps = state.amplitudes.copy()
-    a0 = state.amplitudes[sel0]
-    a1 = state.amplitudes[sel1]
-    amps[sel0] = m[0, 0] * a0 + m[0, 1] * a1
-    amps[sel1] = m[1, 0] * a0 + m[1, 1] * a1
-    return StateVector(n, amps)
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
@@ -192,44 +128,6 @@ def basis_probability(state: StateVector, bits: str) -> float:
     """Probability that a full measurement collapses onto basis state ``bits``."""
     idx = bits_to_index(state.n_qubits, bits)
     return float(abs(state.amplitudes[idx]) ** 2)
-
-
-def measure_qubits(
-    state: StateVector,
-    targets: Sequence[int],
-    rng: np.random.Generator,
-) -> tuple[str, StateVector]:
-    """Measure ``targets`` (in the order given) and collapse the register.
-
-    The outcome is drawn from the Born marginal over the remaining qubits;
-    the returned state is renormalized and consistent with the outcome.
-    """
-    targets = list(targets)
-    if not targets:
-        raise ValueError("at least one target qubit is required")
-    for q in targets:
-        _check_qubit(state, q, "target")
-    measured = set(targets)
-    if len(measured) != len(targets):
-        raise ValueError(f"measurement targets must be distinct, got {targets}")
-    n, k = state.n_qubits, len(targets)
-    # the register as a tensor with the targets' axes first, in target order
-    order = [t - 1 for t in targets] + [q for q in range(n) if q + 1 not in measured]
-    psi = state.amplitudes.reshape([2] * n).transpose(order)
-    probs = (np.abs(psi) ** 2).reshape(1 << k, -1).sum(axis=1)
-    total = probs.sum()
-    if total < NORM_TOL:
-        raise ValueError("cannot measure a state of vanishing norm")
-    # Generator.choice(1 << k, p=probs / total) draws one uniform and
-    # searches this CDF; doing it here skips choice's per-call validation
-    cdf = (probs / total).cumsum()
-    cdf /= cdf[-1]
-    drawn = int(cdf.searchsorted(rng.random(), side="right"))
-    bits = format(drawn, f"0{k}b")
-    block = tuple(map(int, bits))
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps.reshape([2] * n).transpose(order)[block] = psi[block] / math.sqrt(probs[drawn])
-    return bits, StateVector(n, amps)
 
 
 def check_shots(shots: int, what: str = "shots") -> None:
@@ -261,13 +159,6 @@ def draw_counts(
     counts = rng.multinomial(trials, probs / probs.sum())
     drawn = np.flatnonzero(counts)
     return dict(zip(drawn.tolist(), counts[drawn].tolist()))
-
-
-def one_probabilities(state: StateVector) -> np.ndarray:
-    """Per-qubit probabilities of measuring 1, as an array indexed by qubit-1."""
-    n = state.n_qubits
-    probs = (np.abs(state.amplitudes) ** 2).reshape([2] * n)
-    return np.array([np.take(probs, 1, axis=q).sum() for q in range(n)])
 
 
 def schmidt_rank(state: StateVector, left: Iterable[int]) -> int:

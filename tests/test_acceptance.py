@@ -16,12 +16,7 @@ import pytest
 
 from helpers import random_ast, random_fuzzy, random_marginal_expr
 
-from qfuzzy.analysis import (
-    check_orthogonality,
-    entanglement_report,
-    sampling_vs_oracle,
-    total_variation,
-)
+from qfuzzy.analysis import check_orthogonality, entanglement_report
 from qfuzzy.exprparser import (
     Environment,
     ParseError,
@@ -38,9 +33,9 @@ from qfuzzy.qfs import (
     qand,
     qnot,
     superpose,
-    u_com,
     value_marginals,
 )
+from qfuzzy.reference import sampling_vs_oracle, total_variation, u_com
 from qfuzzy.statevec import StateVector, basis_state, inner_product, schmidt_rank
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)

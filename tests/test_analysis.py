@@ -7,15 +7,10 @@ import pytest
 
 from helpers import random_fuzzy
 
-from qfuzzy.analysis import (
-    cfs_inner,
-    check_orthogonality,
-    entanglement_report,
-    sampling_vs_oracle,
-    total_variation,
-)
+from qfuzzy.analysis import cfs_inner, check_orthogonality, entanglement_report
 from qfuzzy.fuzzy import FuzzySet
 from qfuzzy.qfs import encode, superpose
+from qfuzzy.reference import sampling_vs_oracle, total_variation
 from qfuzzy.statevec import StateVector, inner_product
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)

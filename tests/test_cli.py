@@ -108,6 +108,17 @@ def test_deeply_nested_json_is_an_input_error(capsys, monkeypatch, command):
     assert err == "error: malformed JSON: nested too deeply\n"
 
 
+@pytest.mark.parametrize("command", ["encode", "eval", "report", "sample"])
+def test_overlong_integer_literal_is_malformed_json(capsys, monkeypatch, command):
+    """json.loads refuses an integer literal longer than int()'s digit
+    limit; the message names the limit, not an interpreter setting."""
+    limit = sys.get_int_max_str_digits()
+    doc = '{"universe_size": 1' + "0" * limit + "}"
+    code, out, err = run_cli(capsys, monkeypatch, [command], doc)
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed JSON: integer over {limit} digits\n"
+
+
 def test_encode_respects_cap(capsys, monkeypatch):
     payload = json.dumps({"universe_size": 25, "memberships": [0.5] * 25})
     code, _, err = run_cli(capsys, monkeypatch, ["encode"], payload)
@@ -613,6 +624,26 @@ def test_state_commands_reject_non_integer_layout(capsys, monkeypatch, command, 
     assert code == 2
     assert out == ""
     assert "layout start must be an integer" in err
+
+
+@pytest.mark.parametrize("qubits", [20_000, 2**70])
+@pytest.mark.parametrize("command", ["report", "sample"])
+def test_state_commands_count_amplitudes_of_a_wide_layout(
+    capsys, monkeypatch, command, qubits
+):
+    """A layout past 2^63 amplitudes, which no document holds, is refused by
+    its amplitude count without building the integer 2^qubits."""
+    state = json.dumps(
+        {
+            "layout": [["value", 1, qubits]],
+            "universe_size": qubits,
+            "amplitudes": [[1, 0]] * 3,
+        }
+    )
+    argv = [command, "--qubit-cap", str(qubits)]
+    code, out, err = run_cli(capsys, monkeypatch, argv, state)
+    assert (code, out) == (2, "")
+    assert err == f"error: expected 2^{qubits} amplitudes for {qubits} qubits, got 3\n"
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ from helpers import (
 )
 
 from qfuzzy import cli, exprparser, qfs
-from qfuzzy.analysis import column_report, entanglement_report, total_variation
+from qfuzzy.analysis import column_report, entanglement_report
 from qfuzzy.cli import main
 from qfuzzy.errors import ResourceLimitError
 from qfuzzy.exprparser import (
@@ -55,6 +55,7 @@ from qfuzzy.qfs import (
     encode,
     value_marginals,
 )
+from qfuzzy.reference import total_variation
 from qfuzzy.statevec import schmidt_rank
 
 GOLDEN = json.loads(

@@ -13,15 +13,14 @@ from qfuzzy.fuzzy import (
     CrispSubset,
     FuzzySet,
     classical_fuzzify,
-    com_index,
     com_law,
     com_pushforward,
     complement,
     crisp_subset_probability,
     intersect,
-    oracle_distribution,
     union,
 )
+from qfuzzy.reference import com_index, oracle_distribution
 
 memberships = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
@@ -430,13 +429,13 @@ def test_com_pushforward_exact_endpoints():
 
 
 def test_com_pushforward_does_not_enumerate(monkeypatch):
-    import qfuzzy.fuzzy
+    import qfuzzy.reference
 
     def refuse(f):
         raise AssertionError("com_pushforward enumerated the subsets")
 
-    monkeypatch.setattr(qfuzzy.fuzzy, "oracle_distribution", refuse)
-    monkeypatch.setattr(qfuzzy.fuzzy, "com_index", refuse)
+    monkeypatch.setattr(qfuzzy.reference, "oracle_distribution", refuse)
+    monkeypatch.setattr(qfuzzy.reference, "com_index", refuse)
     f = FuzzySet(np.linspace(0.05, 0.95, 20))
     dist = com_pushforward(f)
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)

@@ -9,7 +9,7 @@ import pytest
 from helpers import peak_bytes, random_fuzzy, random_state
 
 from qfuzzy.errors import ResourceLimitError
-from qfuzzy.fuzzy import CrispSubset, FuzzySet, com_index, com_pushforward
+from qfuzzy.fuzzy import CrispSubset, FuzzySet, com_pushforward
 from qfuzzy.qfs import (
     QuantumFuzzySet,
     RegisterLayout,
@@ -19,23 +19,26 @@ from qfuzzy.qfs import (
     encode,
     expansion_coeff,
     fuz_isometry,
-    fuz_linear,
     qand,
     qnot,
     qor,
-    rotation_gate,
     superpose,
-    u_com,
     value_marginals,
 )
-from qfuzzy.statevec import (
+from qfuzzy.reference import (
     PAULI_X,
-    StateVector,
     apply_controlled,
     apply_single,
-    basis_state,
+    com_index,
+    fuz_linear,
     ground_state,
     one_probabilities,
+    rotation_gate,
+    u_com,
+)
+from qfuzzy.statevec import (
+    StateVector,
+    basis_state,
     schmidt_rank,
     tensor_product,
 )

@@ -15,23 +15,26 @@ from helpers import (
 from qfuzzy.analysis import entanglement_report
 from qfuzzy.errors import ResourceLimitError
 from qfuzzy.fuzzy import FuzzySet
-from qfuzzy.qfs import encode, rotation_gate
-from qfuzzy.statevec import (
+from qfuzzy.qfs import encode
+from qfuzzy.reference import (
     IDENTITY,
     PAULI_X,
-    StateVector,
     apply_controlled,
     apply_single,
+    ground_state,
+    measure_qubits,
+    one_probabilities,
+    rotation_gate,
+)
+from qfuzzy.statevec import (
+    StateVector,
     basis_probability,
     basis_state,
     bits_to_index,
     bloch_point,
     draw_counts,
     factor_product_state,
-    ground_state,
     inner_product,
-    measure_qubits,
-    one_probabilities,
     sample_distribution,
     schmidt_rank,
     tensor_product,
