@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import serialize
 from ._lazy import lazy_import
 from .analysis import EntanglementReport, column_report, entanglement_report
 from .errors import ResourceLimitError, _brief
-from .exprparser import Environment, EvalError, ParseError, evaluate, parse
+from .exprparser import EvalError, ParseError, evaluate, parse
 from .fuzzy import FuzzySet
 from .qfs import (
     VALUE_SEGMENT,
@@ -26,7 +27,8 @@ from .qfs import (
     encode,
     value_marginals,
 )
-from .statevec import DEFAULT_QUBIT_CAP, bloch_point, sample_distribution
+from .statevec import DEFAULT_QUBIT_CAP, DEFAULT_TRIALS, bloch_point
+from .statevec import sample_distribution
 
 np = lazy_import("numpy")
 
@@ -64,34 +66,6 @@ def _load_json(text: str) -> object:
         raise ValueError("malformed JSON: nested too deeply") from None
 
 
-def _read_spec(d: object, args: argparse.Namespace) -> tuple[str, Environment]:
-    """The expression of the pipeline spec ``d`` and the :class:`Environment`
-    to evaluate it in.  Each integer field is checked as a JSON integer
-    before a command-line flag may override it; a run parameter given by
-    neither takes the Environment default."""
-    serialize._json_object(d, "pipeline spec")
-    for key in ("universe_size", "sets", "expression"):
-        serialize._require(d, key, "pipeline spec")
-    n = serialize.json_int(d["universe_size"], "universe_size", 1)
-    if not isinstance(d["sets"], dict):
-        raise ValueError("sets must be an object mapping names to membership arrays")
-    sets = {
-        name: FuzzySet(serialize.json_numbers(memberships, f"set {_brief(name)}"))
-        for name, memberships in d["sets"].items()
-    }
-    if not isinstance(d["expression"], str):
-        shown = _brief(d["expression"], json.dumps)
-        raise ValueError(f"expression must be a JSON string, got {shown}")
-    run = {"mode": d["mode"]} if "mode" in d else {}
-    for key, minimum in (("seed", 0), ("trials", 1), ("qubit_cap", 0)):
-        if key in d:
-            run[key] = serialize.json_int(d[key], key, minimum)
-    for key in ("mode", "seed", "trials", "qubit_cap"):
-        if getattr(args, key) is not None:
-            run[key] = getattr(args, key)
-    return d["expression"], Environment(universe_size=n, bindings=sets, **run)
-
-
 def _cmd_encode(args: argparse.Namespace) -> str:
     f = serialize.fuzzy_set_from_dict(_load_json(_read_input(args.input)))
     q = encode(f, cap=args.qubit_cap)
@@ -112,14 +86,13 @@ def _quantum_payload(
 
 
 def _cmd_eval(args: argparse.Namespace) -> str:
-    expression, env = _read_spec(_load_json(_read_input(args.input)), args)
+    expression, env = serialize.spec_from_dict(_load_json(_read_input(args.input)))
+    flags = {key: getattr(args, key) for key in ("mode", "seed", "trials", "qubit_cap")}
+    # replace() re-runs Environment's checks on the flags that were given
+    env = replace(env, **{key: v for key, v in flags.items() if v is not None})
     result = evaluate(parse(expression), env)
     if isinstance(result, FuzzySet):
-        payload = {
-            "mode": "classical",
-            "universe_size": result.universe_size,
-            "memberships": list(result.memberships),
-        }
+        payload = {"mode": "classical", **serialize.fuzzy_set_to_dict(result)}
     elif isinstance(result, ColumnSet):
         payload = _quantum_payload(
             result.dense_layout(), column_report(result), column_marginals(result)
@@ -164,7 +137,11 @@ def _nonneg_int(text: str) -> int:
     cuts it, not whole, as argparse would."""
     try:
         value = int(text)
-    except ValueError:
+    except ValueError:  # not an integer, or one past int()'s digit limit
+        limit = sys.get_int_max_str_digits()
+        digits = text.strip().lstrip("+-")
+        if digits.isdecimal() and len(digits) > limit:
+            raise argparse.ArgumentTypeError(f"integer over {limit} digits") from None
         raise argparse.ArgumentTypeError(
             f"must be an integer, got {_brief(text)}"
         ) from None
@@ -187,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--qubit-cap",
             type=_nonneg_int,
             default=cap_default,
-            help="largest register to allocate (default 24)",
+            help=f"largest register to allocate (default {DEFAULT_QUBIT_CAP})",
         )
 
     p_encode = sub.add_parser("encode", help="fuzzy set JSON -> register state JSON")
@@ -200,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--seed", type=_nonneg_int, default=None)
     p_eval.add_argument(
         "--trials", "--shots", dest="trials", type=_nonneg_int, default=None,
-        help="trials for quantum DEFUZ (default 10000)",
+        help=f"trials for quantum DEFUZ (default {DEFAULT_TRIALS})",
     )
     p_eval.set_defaults(handler=_cmd_eval)
 
@@ -212,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sample, DEFAULT_QUBIT_CAP)
     p_sample.add_argument("--seed", type=_nonneg_int, default=0)
     p_sample.add_argument(
-        "--shots", "--trials", dest="shots", type=_nonneg_int, default=10000,
-        help="number of measurements (default 10000)",
+        "--shots", "--trials", dest="shots", type=_nonneg_int, default=DEFAULT_TRIALS,
+        help=f"number of measurements (default {DEFAULT_TRIALS})",
     )
     p_sample.set_defaults(handler=_cmd_sample)
 

@@ -55,6 +55,7 @@ from .qfs import (
 )
 from .statevec import (
     DEFAULT_QUBIT_CAP,
+    DEFAULT_TRIALS,
     check_register_cap,
     check_shots,
     draw_counts,
@@ -463,7 +464,7 @@ class Environment:
     bindings: Mapping[str, FuzzySet]
     mode: str = "classical"
     seed: int = 0
-    trials: int = 10000
+    trials: int = DEFAULT_TRIALS
     qubit_cap: int = DEFAULT_QUBIT_CAP
 
     def __post_init__(self) -> None:

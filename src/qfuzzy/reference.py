@@ -6,8 +6,17 @@ window map to fuzzify and the U_COM permutation to defuzzify.  This module
 keeps those circuits one gate at a time, and the enumerations over all 2^N
 crisp subsets, as oracles.  The runtime builds the same states and laws in
 other ways (:mod:`qfuzzy.qfs`, :mod:`qfuzzy.fuzzy`), and no runtime module
-imports this one, so an oracle never shares a code path with what it checks.
-:mod:`qfuzzy` re-exports the circuits and oracles by name.
+imports this one.  Three oracles do share runtime code with what they check:
+:func:`u_com` bins by ``qfs._com_table``, the table ``defuzzify`` bins by;
+:func:`fuz_linear` writes ``qfs._windows``, the windows ``fuz_isometry``
+writes; and :func:`sampling_vs_oracle` samples through ``encode`` and
+``sample_distribution``, the runtime paths it holds against the
+enumeration.  The two private helpers are each checked against
+a program of their own (``tests/test_qfs.py``'s
+``test_com_table_equals_com_index``,
+``test_fuz_linear_equals_per_amplitude_reference`` and
+``test_fuz_isometry_equals_per_amplitude_reference``).  :mod:`qfuzzy`
+re-exports the circuits and oracles by name.
 """
 
 from __future__ import annotations

@@ -1,4 +1,6 @@
-"""JSON wire formats, with reals printed to 17 significant digits.
+"""Every document the CLI reads or writes: the fuzzy set, the register
+state, the pipeline spec and the command outputs, with reals printed to 17
+significant digits.
 
 17 significant digits identify a binary double uniquely, so every value
 survives a print/parse round trip bit-exactly; together with insertion-order
@@ -15,7 +17,8 @@ from typing import Any, Iterable, Mapping
 from ._lazy import lazy_import
 from .analysis import EntanglementReport
 from .errors import _brief
-from .fuzzy import CrispSubset, FuzzySet
+from .exprparser import Environment
+from .fuzzy import FuzzySet
 from .qfs import VALUE_SEGMENT, QuantumFuzzySet, RegisterLayout
 from .statevec import AMP_SLICE, StateVector, check_register_cap
 
@@ -51,7 +54,7 @@ def _complex_pairs(amps: np.ndarray, out: list[str]) -> None:
 
 def _emit(obj: Any, out: list[str]) -> None:
     # the built-in types come first, so that a document of them never reads
-    # ``np`` (which would load numpy), and the slow Mapping ABC check last
+    # ``np`` (which would load numpy)
     if isinstance(obj, float):
         out.append(format_real(obj))
     elif isinstance(obj, (list, tuple)):
@@ -73,19 +76,13 @@ def _emit(obj: Any, out: list[str]) -> None:
         out.append(str(int(obj)))
     elif isinstance(obj, dict):
         _emit_object(obj, out)
-    elif isinstance(obj, np.floating):
-        out.append(format_real(obj))
-    elif isinstance(obj, np.integer):
-        out.append(str(int(obj)))
-    elif isinstance(obj, Mapping):
-        _emit_object(obj, out)
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.complex128:
         _complex_pairs(obj, out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit_object(obj: Mapping, out: list[str]) -> None:
+def _emit_object(obj: dict, out: list[str]) -> None:
     out.append("{")
     for i, (key, value) in enumerate(obj.items()):
         if i:
@@ -169,20 +166,29 @@ def fuzzy_set_from_dict(d: Mapping) -> FuzzySet:
     return f
 
 
-def crisp_subset_to_dict(s: CrispSubset) -> dict:
-    return {"universe_size": s.universe_size, "bits": s.bits}
-
-
-def crisp_subset_from_dict(d: Mapping) -> CrispSubset:
-    _json_object(d, "crisp subset")
-    n = json_int(_require(d, "universe_size", "crisp subset"), "universe_size", 1)
-    bits = _require(d, "bits", "crisp subset")
-    if not isinstance(bits, str):
-        raise ValueError("bits must be a string")
-    s = CrispSubset(bits)
-    if s.universe_size != n:
-        raise ValueError(f"universe_size {n} does not match {len(bits)} bits")
-    return s
+def spec_from_dict(d: Mapping) -> tuple[str, Environment]:
+    """The expression of the pipeline spec ``d`` and the :class:`Environment`
+    to evaluate it in.  Every field is checked here, whether or not a caller
+    then overrides it; a run parameter the spec leaves out takes the
+    Environment default."""
+    _json_object(d, "pipeline spec")
+    for key in ("universe_size", "sets", "expression"):
+        _require(d, key, "pipeline spec")
+    n = json_int(d["universe_size"], "universe_size", 1)
+    if not isinstance(d["sets"], dict):
+        raise ValueError("sets must be an object mapping names to membership arrays")
+    sets = {
+        name: FuzzySet(json_numbers(memberships, f"set {_brief(name)}"))
+        for name, memberships in d["sets"].items()
+    }
+    if not isinstance(d["expression"], str):
+        shown = _brief(d["expression"], json.dumps)
+        raise ValueError(f"expression must be a JSON string, got {shown}")
+    run = {"mode": d["mode"]} if "mode" in d else {}
+    for key, minimum in (("seed", 0), ("trials", 1), ("qubit_cap", 0)):
+        if key in d:
+            run[key] = json_int(d[key], key, minimum)
+    return d["expression"], Environment(universe_size=n, bindings=sets, **run)
 
 
 def qfs_to_dict(q: QuantumFuzzySet) -> dict:

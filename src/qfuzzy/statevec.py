@@ -43,6 +43,8 @@ AMP_SLICE = 1 << 12
 #: Most trials one sampling call draws: ``Generator.multinomial`` takes its
 #: count as an int64.
 MAX_SHOTS = 2**63 - 1
+#: Trials a quantum DEFUZ or a ``sample`` draws by default.
+DEFAULT_TRIALS = 10000
 
 
 @dataclass(frozen=True, eq=False)

@@ -520,6 +520,20 @@ def test_eval_flag_overrides_mode(capsys, monkeypatch):
     assert json.loads(out)["mode"] == "quantum"
 
 
+@pytest.mark.parametrize("mode, shown", [(5, "5"), ("Quantum", "'Quantum'")])
+@pytest.mark.parametrize("flags", [[], ["--mode", "classical"]], ids=["alone", "flag"])
+def test_eval_checks_spec_mode_under_a_mode_flag(
+    capsys, monkeypatch, mode, shown, flags
+):
+    """A spec's mode is refused by one rule, whether or not --mode overrides it."""
+    spec = json.dumps(
+        {"universe_size": 2, "sets": {"A": [0.5, 0.3]}, "expression": "A", "mode": mode}
+    )
+    code, out, err = run_cli(capsys, monkeypatch, ["eval", *flags], spec)
+    assert (code, out) == (2, "")
+    assert err == f"error: mode must be 'classical' or 'quantum', got {shown}\n"
+
+
 def test_eval_deterministic_bytes(capsys, monkeypatch):
     spec = eval_spec(
         universe_size=2,
@@ -791,6 +805,35 @@ def test_flag_value_is_not_echoed_whole(capsys, flag, value):
     assert captured.out == ""
     assert len(captured.err.encode()) < 400
     assert not re.search(r"\d{40}", captured.err)
+
+
+@pytest.mark.parametrize(
+    "command, flag, shown",
+    [
+        ("report", "--qubit-cap", "--qubit-cap"),
+        ("eval", "--qubit-cap", "--qubit-cap"),
+        ("eval", "--seed", "--seed"),
+        ("sample", "--seed", "--seed"),
+        ("eval", "--trials", "--trials/--shots"),
+        ("sample", "--shots", "--shots/--trials"),
+    ],
+    ids=[
+        "report_cap", "eval_cap", "eval_seed", "sample_seed", "eval_trials",
+        "sample_shots",
+    ],
+)
+def test_flag_past_the_digit_limit_names_it(capsys, command, flag, shown):
+    """int() refuses more digits than its limit; that is not "not an integer"."""
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "1" * (limit + 1)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert last == (
+        f"qfuzzy {command}: error: argument {shown}: integer over {limit} digits"
+    )
 
 
 # --- sample --------------------------------------------------------------------

@@ -80,3 +80,23 @@ def test_moved_names_live_only_in_reference(name):
         assert getattr(qfuzzy, name) is value
     for module in MOVED:
         assert not hasattr(getattr(qfuzzy, module), name), (module, name)
+
+
+def test_reference_shares_only_three_private_runtime_helpers():
+    """An oracle that calls a runtime helper shares that helper's faults, so
+    each shared one is checked against a program of its own: ``_com_table``
+    (U_COM's bins, as DEFUZ's) by test_qfs.py's
+    test_com_table_equals_com_index, and ``_windows`` (FUZ's windows) by its
+    test_fuz_linear_equals_per_amplitude_reference and
+    test_fuz_isometry_equals_per_amplitude_reference; ``_check_qubit`` only
+    refuses a qubit index out of range.  Sharing another private helper has
+    to be a deliberate change here."""
+    tree = ast.parse((PACKAGE / "reference.py").read_text(encoding="utf-8"))
+    private = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert private == {"_check_qubit", "_com_table", "_windows"}

@@ -1,5 +1,6 @@
 import abc
 import json
+import types
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from helpers import peak_bytes
 from qfuzzy import serialize
 from qfuzzy.analysis import entanglement_report
 from qfuzzy.errors import ResourceLimitError
-from qfuzzy.fuzzy import CrispSubset, FuzzySet
+from qfuzzy.fuzzy import FuzzySet
 from qfuzzy.qfs import encode, qand
 from qfuzzy.statevec import AMP_SLICE, DEFAULT_QUBIT_CAP
 
@@ -35,9 +36,20 @@ def test_dumps_rejects_unknown_types():
         serialize.dumps({"x": object()})
 
 
+@pytest.mark.parametrize(
+    "value, name", [(np.int64(2), "int64"), (types.MappingProxyType({}), "mappingproxy")]
+)
+def test_dumps_writes_no_numpy_integer_and_no_mapping_but_a_dict(value, name):
+    """Every command builds its payload from Python scalars, lists, dicts and
+    one 1-D complex array, so nothing else is converted."""
+    with pytest.raises(TypeError) as err:
+        serialize.dumps(value)
+    assert str(err.value) == f"cannot serialize {name}"
+
+
 def test_dumps_scalars_skip_the_mapping_check(monkeypatch):
-    """None, the bools, strings and integers are emitted before the slow
-    Mapping ABC check is reached."""
+    """None, the bools, strings and integers are emitted by their built-in
+    types; dumps never reaches for the slow Mapping ABC check."""
     checks = []
 
     class CountingMeta(abc.ABCMeta):
@@ -49,7 +61,7 @@ def test_dumps_scalars_skip_the_mapping_check(monkeypatch):
         pass
 
     monkeypatch.setattr(serialize, "Mapping", CountingMapping)
-    text = serialize.dumps([1, np.int64(2), True, False, None, "x", [3]])
+    text = serialize.dumps([1, 2, True, False, None, "x", [3]])
     assert text == '[1, 2, true, false, null, "x", [3]]'
     assert checks == []
 
@@ -165,19 +177,19 @@ def _read_state(d):
             "fuzzy set is missing the 'memberships' field",
         ),
         (
-            serialize.crisp_subset_from_dict,
-            7,
-            "crisp subset must be a JSON object, got int",
+            serialize.spec_from_dict,
+            [],
+            "pipeline spec must be a JSON object, got list",
         ),
         (
-            serialize.crisp_subset_from_dict,
-            {"bits": 1},
-            "crisp subset is missing the 'universe_size' field",
+            serialize.spec_from_dict,
+            {"universe_size": 0, "expression": 1},
+            "pipeline spec is missing the 'sets' field",
         ),
         (
-            serialize.crisp_subset_from_dict,
-            {"universe_size": 1},
-            "crisp subset is missing the 'bits' field",
+            serialize.spec_from_dict,
+            {"universe_size": 0, "sets": 1, "expression": 1},
+            "universe_size must be an integer >= 1, got 0",
         ),
         (_read_state, "{}", "state must be a JSON object, got str"),
         (
@@ -203,12 +215,6 @@ def test_document_faults_are_reported_in_order(read, document, message):
     with pytest.raises(ValueError) as err:
         read(document)
     assert str(err.value) == message
-
-
-def test_crisp_subset_round_trip():
-    s = CrispSubset("0110")
-    back = serialize.crisp_subset_from_dict(serialize.crisp_subset_to_dict(s))
-    assert back == s
 
 
 def test_qfs_round_trip_bit_exact():
@@ -312,23 +318,8 @@ def test_qfs_from_dict_renormalizes_rounded_input():
             TypeError,
             "object keys must be strings, got 1",
         ),
-        (
-            lambda: serialize.crisp_subset_from_dict(["01"]),
-            ValueError,
-            "crisp subset must be a JSON object, got list",
-        ),
-        (
-            lambda: serialize.crisp_subset_from_dict({"universe_size": 2, "bits": 10}),
-            ValueError,
-            "bits must be a string",
-        ),
-        (
-            lambda: serialize.crisp_subset_from_dict({"universe_size": 3, "bits": "0"}),
-            ValueError,
-            "universe_size 3 does not match 1 bits",
-        ),
     ],
-    ids=["key_type", "subset_type", "bits_type", "subset_size"],
+    ids=["key_type"],
 )
 def test_library_refusals(make, error, message):
     with pytest.raises(error) as err:
