@@ -133,18 +133,17 @@ def _cmd_sample(args: argparse.Namespace) -> str:
 
 
 def _nonneg_int(text: str) -> int:
-    """A flag's integer value; a rejected one is quoted as errors._brief
-    cuts it, not whole, as argparse would."""
-    try:
-        value = int(text)
-    except ValueError:  # not an integer, or one past int()'s digit limit
-        limit = sys.get_int_max_str_digits()
-        digits = text.strip().lstrip("+-")
-        if digits.isdecimal() and len(digits) > limit:
-            raise argparse.ArgumentTypeError(f"integer over {limit} digits") from None
-        raise argparse.ArgumentTypeError(
-            f"must be an integer, got {_brief(text)}"
-        ) from None
+    """A flag's integer value: ASCII digits after an optional "-" (no "+",
+    space, "_" or other script's digit, all of which int() takes).  A
+    rejected one is quoted as errors._brief cuts it, not whole, as argparse
+    would."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be an integer, got {_brief(text)}")
+    limit = sys.get_int_max_str_digits()  # 0 for no limit
+    if 0 < limit < len(digits):
+        raise argparse.ArgumentTypeError(f"integer over {limit} digits")
+    value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {_brief(text)}")
     return value

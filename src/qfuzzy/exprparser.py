@@ -27,7 +27,7 @@ from operator import or_
 from typing import Mapping, Union
 
 from ._lazy import lazy_import
-from .errors import _brief
+from .errors import _brief, check_int
 from .fuzzy import (
     FuzzySet,
     classical_fuzzify,
@@ -99,7 +99,8 @@ _TOKEN_RE = re.compile(
     r"|(?P<STAR>\*)"
     r"|(?P<NEWLINE>\n)"
     r"|(?P<SPACE>[ \t\r]+)"
-    r"|(?P<OTHER>.)"
+    r"|(?P<OTHER>.)",
+    re.ASCII,  # \d is 0-9 only, as identifiers and the printer are ASCII
 )
 
 Token = namedtuple("Token", "kind text line col")
@@ -468,13 +469,12 @@ class Environment:
     qubit_cap: int = DEFAULT_QUBIT_CAP
 
     def __post_init__(self) -> None:
-        if self.universe_size < 1:
-            raise ValueError(f"universe_size must be >= 1, got {self.universe_size}")
+        check_int(self.universe_size, "universe_size", 1)
+        for key, minimum in (("seed", 0), ("trials", 1), ("qubit_cap", 0)):
+            check_int(getattr(self, key), key, minimum)
         if self.mode not in ("classical", "quantum"):
             shown = _brief(self.mode)
             raise ValueError(f"mode must be 'classical' or 'quantum', got {shown}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         check_shots(self.trials, "trials")
         for name, f in self.bindings.items():
             if f.universe_size != self.universe_size:

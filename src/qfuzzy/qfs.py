@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from ._lazy import lazy_import
-from .errors import _brief
+from .errors import _brief, _json_text, check_int
 from .fuzzy import FuzzySet, CrispSubset, common_universe
 from .statevec import (
     AMP_SLICE,
@@ -37,12 +37,24 @@ class RegisterLayout:
     """Named contiguous qubit segments tiling 1..total_qubits.
 
     Each segment is a ``(name, first_qubit, length)`` triple with 1-based
-    qubit positions.
+    qubit positions; rows given as lists are stored as tuples.
     """
 
     segments: tuple[tuple[str, int, int], ...]
 
     def __post_init__(self) -> None:
+        for row in self.segments:
+            if not (isinstance(row, (list, tuple)) and len(row) == 3):
+                raise ValueError(
+                    f"layout rows must be [name, start, length], got {_brief(row)}"
+                )
+            name, start, length = row
+            if not isinstance(name, str):
+                shown = _brief(name, _json_text)
+                raise ValueError(f"layout segment names must be strings, got {shown}")
+            check_int(start, "layout start", 1)
+            check_int(length, "layout length", 1)
+        object.__setattr__(self, "segments", tuple(map(tuple, self.segments)))
         if not self.segments:
             raise ValueError("layout needs at least one segment")
         names = [name for name, _, _ in self.segments]
@@ -51,8 +63,6 @@ class RegisterLayout:
             raise ValueError(f"segment names must be unique, got {shown}")
         expected_start = 1
         for name, start, length in sorted(self.segments, key=lambda s: s[1]):
-            if length < 1:
-                raise ValueError(f"segment {_brief(name)} must have length >= 1")
             if start != expected_start:
                 raise ValueError(
                     f"segments must tile the register contiguously; "

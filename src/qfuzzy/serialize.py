@@ -16,7 +16,7 @@ from typing import Any, Iterable, Mapping
 
 from ._lazy import lazy_import
 from .analysis import EntanglementReport
-from .errors import _brief
+from .errors import _brief, _json_text, check_int
 from .exprparser import Environment
 from .fuzzy import FuzzySet
 from .qfs import VALUE_SEGMENT, QuantumFuzzySet, RegisterLayout
@@ -103,15 +103,6 @@ def dumps(obj: Any) -> str:
     return "".join(out)
 
 
-def json_int(value: Any, what: str, minimum: int) -> int:
-    """A JSON integer (not a bool, a float or a string) >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValueError(
-            f"{what} must be an integer >= {minimum}, got {_brief(value, json.dumps)}"
-        )
-    return value
-
-
 def _all_json_numbers(values: Iterable) -> bool:
     """Whether every value is a JSON number, checked in bulk by type: a bool
     or a numeric string is not one, though numpy would read it as a number."""
@@ -157,7 +148,7 @@ def fuzzy_set_to_dict(f: FuzzySet) -> dict:
 
 def fuzzy_set_from_dict(d: Mapping) -> FuzzySet:
     _json_object(d, "fuzzy set")
-    n = json_int(_require(d, "universe_size", "fuzzy set"), "universe_size", 1)
+    n = check_int(_require(d, "universe_size", "fuzzy set"), "universe_size", 1)
     f = FuzzySet(json_numbers(_require(d, "memberships", "fuzzy set"), "memberships"))
     if f.universe_size != n:
         raise ValueError(
@@ -168,13 +159,14 @@ def fuzzy_set_from_dict(d: Mapping) -> FuzzySet:
 
 def spec_from_dict(d: Mapping) -> tuple[str, Environment]:
     """The expression of the pipeline spec ``d`` and the :class:`Environment`
-    to evaluate it in.  Every field is checked here, whether or not a caller
-    then overrides it; a run parameter the spec leaves out takes the
-    Environment default."""
+    to evaluate it in.  Every field is checked, whether or not a caller then
+    overrides it: the document's shape here, the run parameters by
+    Environment; a run parameter the spec leaves out takes the Environment
+    default."""
     _json_object(d, "pipeline spec")
     for key in ("universe_size", "sets", "expression"):
         _require(d, key, "pipeline spec")
-    n = json_int(d["universe_size"], "universe_size", 1)
+    n = check_int(d["universe_size"], "universe_size", 1)
     if not isinstance(d["sets"], dict):
         raise ValueError("sets must be an object mapping names to membership arrays")
     sets = {
@@ -182,12 +174,9 @@ def spec_from_dict(d: Mapping) -> tuple[str, Environment]:
         for name, memberships in d["sets"].items()
     }
     if not isinstance(d["expression"], str):
-        shown = _brief(d["expression"], json.dumps)
+        shown = _brief(d["expression"], _json_text)
         raise ValueError(f"expression must be a JSON string, got {shown}")
-    run = {"mode": d["mode"]} if "mode" in d else {}
-    for key, minimum in (("seed", 0), ("trials", 1), ("qubit_cap", 0)):
-        if key in d:
-            run[key] = json_int(d[key], key, minimum)
+    run = {key: d[key] for key in ("mode", "seed", "trials", "qubit_cap") if key in d}
     return d["expression"], Environment(universe_size=n, bindings=sets, **run)
 
 
@@ -206,26 +195,13 @@ def qfs_from_dict(d: Mapping, cap: int) -> QuantumFuzzySet:
     :class:`ResourceLimitError`, and an amplitude count that does not match
     the layout a ValueError, before any amplitude is converted."""
     _json_object(d, "state")
-    layout_rows = _require(d, "layout", "state")
+    rows = _require(d, "layout", "state")
     raw = _require(d, "amplitudes", "state")
-    declared = json_int(_require(d, "universe_size", "state"), "universe_size", 1)
-    if not isinstance(layout_rows, (list, tuple)):
+    declared = check_int(_require(d, "universe_size", "state"), "universe_size", 1)
+    if not isinstance(rows, (list, tuple)):
         raise ValueError("layout must be an array of [name, start, length] rows")
-    segments = []
-    for row in layout_rows:
-        if not (isinstance(row, (list, tuple)) and len(row) == 3):
-            raise ValueError(
-                f"layout rows must be [name, start, length], got {_brief(row)}"
-            )
-        name, start, length = row
-        if not isinstance(name, str):
-            raise ValueError(
-                f"layout segment names must be strings, got {_brief(name, json.dumps)}"
-            )
-        start = json_int(start, "layout start", 1)
-        segments.append((name, start, json_int(length, "layout length", 1)))
-    layout = RegisterLayout(tuple(segments))
-    if VALUE_SEGMENT not in (name for name, _, _ in segments):
+    layout = RegisterLayout(tuple(rows))
+    if VALUE_SEGMENT not in (name for name, _, _ in layout.segments):
         raise ValueError(f"layout has no {VALUE_SEGMENT!r} segment")
     total = layout.total_qubits
     check_register_cap(total, cap)

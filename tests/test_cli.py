@@ -195,6 +195,13 @@ def test_eval_rejects_trials_beyond_int64(capsys, monkeypatch, spec_trials, argv
     assert "trials must be <= 9223372036854775807" in err
 
 
+def test_zero_trials_is_refused_alike_by_spec_and_flag(capsys, monkeypatch):
+    by_spec = run_cli(capsys, monkeypatch, ["eval"], eval_spec(trials=0))
+    by_flag = run_cli(capsys, monkeypatch, ["eval", "--trials", "0"], eval_spec())
+    refused = (2, "", "error: trials must be an integer >= 1, got 0\n")
+    assert by_spec == by_flag == refused
+
+
 @pytest.mark.parametrize("expression", [None, True])
 def test_eval_rejects_non_string_expression(capsys, monkeypatch, expression):
     spec = eval_spec(sets={"A": [0.5], "B": [0.5], "None": [0.5], "True": [0.5]})
@@ -833,6 +840,35 @@ def test_flag_past_the_digit_limit_names_it(capsys, command, flag, shown):
     last = captured.err.splitlines()[-1]
     assert last == (
         f"qfuzzy {command}: error: argument {shown}: integer over {limit} digits"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, flag, shown, value",
+    [
+        ("encode", "--qubit-cap", "--qubit-cap", "\u0663"),
+        ("eval", "--seed", "--seed", " +7 "),
+        ("eval", "--trials", "--trials/--shots", "1_0"),
+        ("report", "--qubit-cap", "--qubit-cap", "\u0663"),
+        ("sample", "--shots", "--shots/--trials", "1_0"),
+        ("sample", "--seed", "--seed", " +7 "),
+    ],
+    ids=[
+        "encode_cap", "eval_seed", "eval_trials", "report_cap", "sample_shots",
+        "sample_seed",
+    ],
+)
+def test_flag_takes_only_ascii_digits(capsys, monkeypatch, command, flag, shown, value):
+    """int() also takes "_", "+", spaces and other scripts' digits; a UINT
+    flag takes ASCII digits only."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, monkeypatch, [command, flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert last == (
+        f"qfuzzy {command}: error: argument {shown}: must be an integer, got {value!r}"
     )
 
 

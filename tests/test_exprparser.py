@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 import math
 import pickle
@@ -115,6 +116,26 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse("A AND\nOR")
     assert (err.value.line, err.value.col) == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "text, shown",
+    [
+        ("A AND FUZ(\u0662, \u0660)", "\u0662"),
+        ("SUPERPOSE(\u0661.\u0665 * A)", "\u0661"),
+    ],
+    ids=["fuz_index", "coefficient"],
+)
+def test_numbers_are_ascii_digits(capsys, monkeypatch, text, shown):
+    """A digit of another script (here Arabic-Indic) is not a number: the
+    lexer, like identifiers and the printer, reads ASCII only."""
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"lexical error at 1:11: unexpected character {shown!r}"
+    spec = {"universe_size": 2, "sets": {"A": [0.5, 0.5]}, "expression": text}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
+    assert main(["eval"]) == 4
+    assert capsys.readouterr().err == f"error: {err.value}\n"
 
 
 def test_integer_too_long_to_convert_is_a_parse_error():
@@ -806,12 +827,25 @@ def test_environment_validation():
     "make, error, message",
     [
         (lambda: Environment(universe_size=0, bindings={}), ValueError,
-         "universe_size must be >= 1, got 0"),
+         "universe_size must be an integer >= 1, got 0"),
         (lambda: Environment(universe_size=1, bindings={}, seed=-1), ValueError,
-         "seed must be >= 0, got -1"),
+         "seed must be an integer >= 0, got -1"),
         (lambda: pretty_print(42), TypeError, "not an expression node: 42"),
+        (lambda: Environment(universe_size=2.5, bindings={}), ValueError,
+         "universe_size must be an integer >= 1, got 2.5"),
+        (lambda: Environment(universe_size=1, bindings={}, seed=True), ValueError,
+         "seed must be an integer >= 0, got true"),
+        (lambda: Environment(universe_size=1, bindings={}, trials=True), ValueError,
+         "trials must be an integer >= 1, got true"),
+        (lambda: Environment(universe_size=1, bindings={}, qubit_cap=-3), ValueError,
+         "qubit_cap must be an integer >= 0, got -3"),
+        (lambda: Environment(universe_size=1, bindings={}, seed=object()), ValueError,
+         "seed must be an integer >= 0, got <object>"),
     ],
-    ids=["universe_size", "seed", "pretty_print"],
+    ids=[
+        "universe_size", "seed", "pretty_print", "universe_size_float", "seed_bool",
+        "trials_bool", "qubit_cap_negative", "seed_object",
+    ],
 )
 def test_library_refusals(make, error, message):
     with pytest.raises(error) as err:

@@ -873,14 +873,29 @@ TWO_QUBITS = RegisterLayout.single("value", 2)
         (lambda: RegisterLayout(()), "layout needs at least one segment"),
         (
             lambda: RegisterLayout((("value", 1, 0),)),
-            "segment 'value' must have length >= 1",
+            "layout length must be an integer >= 1, got 0",
         ),
         (
             lambda: QuantumFuzzySet(basis_state("0"), TWO_QUBITS),
             "layout covers 2 qubits but the state has 1",
         ),
+        (
+            lambda: RegisterLayout((("value", True, 1),)),
+            "layout start must be an integer >= 1, got true",
+        ),
+        (
+            lambda: RegisterLayout((("value", 1, 2.0),)),
+            "layout length must be an integer >= 1, got 2.0",
+        ),
+        (
+            lambda: RegisterLayout(((7, 1, 1),)),
+            "layout segment names must be strings, got 7",
+        ),
     ],
-    ids=["fuz_linear", "fuz_isometry", "no_segments", "empty_segment", "layout_size"],
+    ids=[
+        "fuz_linear", "fuz_isometry", "no_segments", "empty_segment", "layout_size",
+        "bool_start", "float_length", "int_name",
+    ],
 )
 def test_library_refusals(make, message):
     with pytest.raises(ValueError) as err:
