@@ -80,26 +80,27 @@ def entanglement_report(q: QuantumFuzzySet | StateVector) -> EntanglementReport:
     the fuzzy set and per-qubit phases recovered by rotating each factor back
     to the zero-phase meridian."""
     state = q.state if isinstance(q, QuantumFuzzySet) else q
-    ranks, tops = _qubit_split(state.amplitudes[None])
-    return _report(ranks[0], None if tops is None else tops[0])
+    return _report(*_qubit_split(state.amplitudes))
 
 
 def column_report(c: ColumnSet) -> EntanglementReport:
     """:func:`entanglement_report` of the register ``c`` stands for, from
-    one split batched over its columns.  A qubit's partner in every other
-    column is a separate factor of unit norm, so its Schmidt rank and
-    factor against the rest of the register are those against the rest of
-    its column; qubit s of element j is reported at (s - 1) * N + j."""
-    ranks, tops = _qubit_split(c.columns)
-    if tops is not None:
-        tops = tops.swapaxes(0, 1).reshape(-1, 2)
-    return _report(ranks.T.reshape(-1), tops)
+    one split of each column.  A qubit's partner in every other column is
+    a separate factor of unit norm, so its Schmidt rank and factor against
+    the rest of the register are those against the rest of its column; the
+    columns' results are interleaved so that qubit s of element j is
+    reported at (s - 1) * N + j."""
+    ranks, tops = zip(*map(_qubit_split, c.columns))
+    ranks = [rank for qubit in zip(*ranks) for rank in qubit]
+    if any(t is None for t in tops):
+        return _report(ranks, None)
+    return _report(ranks, [factor for qubit in zip(*tops) for factor in qubit])
 
 
-def _report(ranks: np.ndarray, tops: np.ndarray | None) -> EntanglementReport:
+def _report(ranks: list[int], tops: list[np.ndarray] | None) -> EntanglementReport:
     """The report on qubits with these ranks and, for a product, these
-    phase-fixed factors a|0> + b|1>, one row each."""
-    ranks = tuple(ranks.tolist())
+    phase-fixed factors a|0> + b|1>, one 2-vector each."""
+    ranks = tuple(ranks)
     if tops is None:
         return EntanglementReport(ranks, False, None, None, None)
     memberships = []

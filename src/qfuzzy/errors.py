@@ -11,11 +11,15 @@ class ResourceLimitError(Exception):
 def _brief(value: Any, show: Callable[[Any], str] = repr) -> str:
     """``value`` as a one-line error message quotes it: an array or an object
     by its JSON type and size, anything else as ``show`` prints it, cut to
-    32 characters."""
+    32 characters; an integer past int()'s digit limit, which ``show``
+    cannot print, as :func:`_json_text` shows it."""
     if isinstance(value, (list, tuple, dict)):
         kind = "object" if isinstance(value, dict) else "array"
         return f"an {kind} of size {len(value)}"
-    text = show(value)
+    try:
+        text = show(value)
+    except ValueError:
+        text = _json_text(value)
     return text if len(text) <= 32 else text[:32] + "..."
 
 

@@ -547,9 +547,9 @@ def evaluate(ast: ExprAst, env: Environment):
        Python floats, as the classical DEFUZ does; numpy runs the draw.
     4. Any other quantum tree returns the register :func:`eval_quantum`
        would build as one w-qubit column per universe element
-       (:class:`ColumnSet`), read with :func:`column_report` and
-       :func:`column_marginals`; the columns, N * 2^w amplitudes, are never
-       larger than that register.
+       (:class:`ColumnSet`, a list of N registers of 2^w amplitudes), read
+       with :func:`column_report` and :func:`column_marginals`; the
+       columns, N * 2^w amplitudes, are never larger than that register.
 
     Routes 3 and 4 are exact.  A leaf's register is a product over the
     elements, and each gate the evaluator applies (X, or a Toffoli into
@@ -557,7 +557,7 @@ def evaluate(ast: ExprAst, env: Environment):
     is the product of its N columns.  An identifier gives the columns
     (sqrt(1-m), sqrt(m)) and a FUZ leaf its seed and window qubits
     (:func:`fuz_columns`); NOT, AND and OR run :func:`qnot`'s reversal and
-    the :func:`qand` and :func:`qor` scatter on all columns at once.  So
+    the :func:`qand` and :func:`qor` scatter once per column.  So
     the value bits are independent, and the readout law is the dynamic
     program over each bit's Born weights.  Those weights keep the
     register's exact zeros, which fix the drawn counts.  A superposed

@@ -66,7 +66,8 @@ class RegisterLayout:
             if start != expected_start:
                 raise ValueError(
                     f"segments must tile the register contiguously; "
-                    f"{_brief(name)} starts at {start}, expected {expected_start}"
+                    f"{_brief(name)} starts at {_brief(start)}, "
+                    f"expected {_brief(expected_start)}"
                 )
             expected_start = start + length
 
@@ -131,18 +132,18 @@ class ColumnSet:
     """A register that is a product over the universe's N elements, kept as
     one column per element instead of as 2^(N*w) amplitudes.
 
-    Row j of ``columns``, an (N, 2^w) array, holds the amplitudes of element
-    j+1's w qubits; ``layout`` names those qubits, one per segment, as a
-    register over a universe of one.  The register stands for the
-    N*w-qubit one laid out by :meth:`dense_layout`, in which qubit s of
-    element j is qubit (s - 1) * N + j.  Every gate of a SUPERPOSE-free
-    expression acts within one element's qubits, so it acts on each column
-    alone.
+    ``columns`` is a list of N one-dimensional registers of 2^w amplitudes
+    each: ``columns[j - 1]`` holds element j's w qubits, and ``layout``
+    names those qubits, one per segment, as a register over a universe of
+    one.  The register stands for the N*w-qubit one laid out by
+    :meth:`dense_layout`, in which qubit s of element j is qubit
+    (s - 1) * N + j.  Every gate of a SUPERPOSE-free expression acts within
+    one element's qubits, so it runs on each column alone, once per column.
     """
 
     __slots__ = ("columns", "layout")
 
-    def __init__(self, columns: np.ndarray, layout: RegisterLayout):
+    def __init__(self, columns: list[np.ndarray], layout: RegisterLayout):
         self.columns = columns
         self.layout = layout
 
@@ -162,28 +163,26 @@ class ColumnSet:
 
 def _product_amplitudes(memberships: np.ndarray) -> np.ndarray:
     """Amplitudes of the product state with qubit i in
-    sqrt(1-m_i)|0> + sqrt(m_i)|1>, for the memberships along the last axis
-    of ``memberships`` (one register per leading index): the kron of the
-    per-qubit columns (:func:`_kron_columns`)."""
+    sqrt(1-m_i)|0> + sqrt(m_i)|1>: the kron of the per-qubit columns
+    (:func:`_kron_columns`)."""
     m = np.asarray(memberships, dtype=np.float64)
     return _kron_columns(np.stack([np.sqrt(1.0 - m), np.sqrt(m)], axis=-1))
 
 
 def _value_axis(layout: RegisterLayout, values: np.ndarray) -> np.ndarray:
-    """``values``, one per basis index of a register with ``layout`` along
-    the last axis, with that axis split as (before, value, after): the
-    middle one runs over the 2^N bit patterns of the value segment, the
-    others over the qubits before and after it.  Leading axes, one per
-    register of a batch, are kept."""
+    """``values``, one per basis index of a register with ``layout``, as a
+    (before, value, after) array: the middle axis runs over the 2^N bit
+    patterns of the value segment, the others over the qubits before and
+    after it."""
     start, n = layout.segment(VALUE_SEGMENT)
-    return values.reshape(values.shape[:-1] + (1 << (start - 1), 1 << n, -1))
+    return values.reshape(1 << (start - 1), 1 << n, -1)
 
 
 def _not_view(layout: RegisterLayout, amps: np.ndarray) -> np.ndarray:
-    """X on every value qubit of each register in ``amps``, as a view: X on
-    all N value qubits maps value pattern p to 2^N - 1 - p, so it reverses
-    the value axis of :func:`_value_axis`."""
-    return _value_axis(layout, amps)[..., ::-1, :]
+    """X on every value qubit of the register ``amps``, as a view: X on all
+    N value qubits maps value pattern p to 2^N - 1 - p, so it reverses the
+    value axis of :func:`_value_axis`."""
+    return _value_axis(layout, amps)[:, ::-1]
 
 
 def _value_distribution(q: QuantumFuzzySet) -> np.ndarray:
@@ -222,11 +221,22 @@ def qnot(q: QuantumFuzzySet) -> QuantumFuzzySet:
 
     X on all N value qubits maps value bit pattern p to 2^N - 1 - p, so on
     the register read as a (before, value, after) array it reverses the
-    value axis (:func:`_not_view`).  The reversed view is copied into a
+    value axis (:func:`_not_view`).  The reversed view is flattened into a
     fresh array: a negative-stride view would alias the input.
     """
-    amps = _not_view(q.layout, q.state.amplitudes).copy().reshape(-1)
+    amps = _not_view(q.layout, q.state.amplitudes).flatten()
     return QuantumFuzzySet(StateVector(q.state.n_qubits, amps), q.layout)
+
+
+def _and_layout(la: RegisterLayout, lb: RegisterLayout) -> RegisterLayout:
+    """The layout of AND or OR of registers laid out by ``la`` and ``lb``:
+    the inputs' segments renamed ``a.`` and ``b.``, then the output as the
+    value segment."""
+    a_total, n = la.total_qubits, la.segment(VALUE_SEGMENT)[1]
+    value = (VALUE_SEGMENT, a_total + lb.total_qubits + 1, n)
+    return RegisterLayout(
+        la.relabeled("a.") + lb.relabeled("b.", offset=a_total) + (value,)
+    )
 
 
 def _and_scatter(
@@ -235,32 +245,24 @@ def _and_scatter(
     lb: RegisterLayout,
     b: np.ndarray,
     disjoin: bool,
-) -> tuple[np.ndarray, RegisterLayout]:
-    """AND, or with ``disjoin`` OR, of the registers ``a`` and ``b`` laid
-    out by ``la`` and ``lb``, pairwise along their leading (batch) axes.
+) -> np.ndarray:
+    """The amplitudes of AND, or with ``disjoin`` OR, of the registers ``a``
+    and ``b`` laid out by ``la`` and ``lb``, laid out by :func:`_and_layout`.
     The kron of the inputs, read as (before, value, after) arrays, is
     scattered in one assignment along the output axis onto the pattern
     pa & pb for value patterns pa, pb.  OR is NOT(NOT a AND NOT b): the
     inputs are read through :func:`_not_view` and the pattern is flipped in
-    every bit.  Returns the output amplitudes, batched as the inputs, and
-    the output layout: the inputs' segments renamed ``a.`` and ``b.``, then
-    the output as the value segment."""
+    every bit."""
     n = la.segment(VALUE_SEGMENT)[1]
-    a_total, b_total = la.total_qubits, lb.total_qubits
     view = _not_view if disjoin else _value_axis
     va, vb = view(la, a), view(lb, b)
-    kron = va[..., None, None, None] * vb[..., None, None, None, :, :, :]
+    kron = va[:, :, :, None, None, None] * vb
     pa, pb = np.arange(1 << n)[:, None], np.arange(1 << n)
     out = (pa & pb) ^ ((1 << n) - 1 if disjoin else 0)
-    out = out.reshape((1,) * (va.ndim - 3) + (1, 1 << n, 1, 1, 1 << n, 1, 1))
+    out = out.reshape(1, 1 << n, 1, 1, 1 << n, 1, 1)
     amps = np.zeros(kron.shape + (1 << n,), dtype=np.complex128)
     np.put_along_axis(amps, out, kron[..., None], axis=-1)
-    layout = RegisterLayout(
-        la.relabeled("a.")
-        + lb.relabeled("b.", offset=a_total)
-        + ((VALUE_SEGMENT, a_total + b_total + 1, n),)
-    )
-    return amps.reshape(a.shape[:-1] + (-1,)), layout
+    return amps.reshape(-1)
 
 
 def _connective(
@@ -269,9 +271,10 @@ def _connective(
     """:func:`_and_scatter` on two registers, the cap checked first."""
     n = common_universe(a, b)
     check_register_cap(a.state.n_qubits + b.state.n_qubits + n, cap)
-    amps, layout = _and_scatter(
+    amps = _and_scatter(
         a.layout, a.state.amplitudes, b.layout, b.state.amplitudes, disjoin
     )
+    layout = _and_layout(a.layout, b.layout)
     return QuantumFuzzySet(StateVector(layout.total_qubits, amps), layout)
 
 
@@ -480,8 +483,8 @@ def value_marginals(q: QuantumFuzzySet) -> np.ndarray:
 def encode_columns(f: FuzzySet) -> ColumnSet:
     """:func:`encode` as columns: element i's column is its one qubit
     sqrt(1-f(i))|0> + sqrt(f(i))|1>."""
-    amps = _product_amplitudes(np.asarray(f.memberships)[:, None])
-    return ColumnSet(amps, RegisterLayout.single(VALUE_SEGMENT, 1))
+    columns = [_product_amplitudes([m]) for m in f.memberships]
+    return ColumnSet(columns, RegisterLayout.single(VALUE_SEGMENT, 1))
 
 
 def fuz_columns(index: int, window: FuzzySet) -> ColumnSet:
@@ -491,34 +494,40 @@ def fuz_columns(index: int, window: FuzzySet) -> ColumnSet:
     product: element i's column is its seed qubit, |1> at ``index`` and |0>
     elsewhere, then its value qubit, (|0>+|1>)/sqrt(2) inside the window
     and |0> outside, which is the window encoded."""
-    seed = np.zeros(window.universe_size)
-    seed[index - 1] = 1.0
-    amps = _product_amplitudes(np.stack((seed, window.memberships), axis=1))
+    columns = [_product_amplitudes([float(i == index), m])
+               for i, m in enumerate(window.memberships, start=1)]
     layout = RegisterLayout(
         RegisterLayout.single(VALUE_SEGMENT, 1).relabeled("in.")
         + ((VALUE_SEGMENT, 2, 1),)
     )
-    return ColumnSet(amps, layout)
+    return ColumnSet(columns, layout)
 
 
 def column_not(c: ColumnSet) -> ColumnSet:
     """:func:`qnot` on every column."""
-    amps = _not_view(c.layout, c.columns).copy().reshape(c.columns.shape)
-    return ColumnSet(amps, c.layout)
+    return ColumnSet([_not_view(c.layout, x).flatten() for x in c.columns], c.layout)
+
+
+def _column_connective(a: ColumnSet, b: ColumnSet, disjoin: bool) -> ColumnSet:
+    """:func:`_and_scatter` on each pair of columns: element i's Toffoli
+    reads and writes only element i's qubits."""
+    pairs = zip(a.columns, b.columns)
+    columns = [_and_scatter(a.layout, x, b.layout, y, disjoin) for x, y in pairs]
+    return ColumnSet(columns, _and_layout(a.layout, b.layout))
 
 
 def column_and(a: ColumnSet, b: ColumnSet) -> ColumnSet:
-    """:func:`qand` column by column: element i's Toffoli reads and writes
-    only element i's qubits."""
-    return ColumnSet(*_and_scatter(a.layout, a.columns, b.layout, b.columns, False))
+    """:func:`qand` column by column."""
+    return _column_connective(a, b, False)
 
 
 def column_or(a: ColumnSet, b: ColumnSet) -> ColumnSet:
     """:func:`qor` column by column."""
-    return ColumnSet(*_and_scatter(a.layout, a.columns, b.layout, b.columns, True))
+    return _column_connective(a, b, True)
 
 
 def column_marginals(c: ColumnSet) -> np.ndarray:
     """:func:`value_marginals` of the register ``c`` stands for: each
     element's probability of measuring 1 on its value qubit."""
-    return _value_axis(c.layout, np.abs(c.columns) ** 2).sum(axis=(1, 3))[:, 1]
+    return np.array([_value_axis(c.layout, np.abs(x) ** 2).sum(axis=(0, 2))[1]
+                     for x in c.columns])

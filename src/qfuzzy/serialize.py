@@ -152,7 +152,7 @@ def fuzzy_set_from_dict(d: Mapping) -> FuzzySet:
     f = FuzzySet(json_numbers(_require(d, "memberships", "fuzzy set"), "memberships"))
     if f.universe_size != n:
         raise ValueError(
-            f"universe_size {n} does not match {f.universe_size} memberships"
+            f"universe_size {_brief(n)} does not match {f.universe_size} memberships"
         )
     return f
 
@@ -208,7 +208,7 @@ def qfs_from_dict(d: Mapping, cap: int) -> QuantumFuzzySet:
     if not isinstance(raw, (list, tuple)):
         raise ValueError("amplitudes must be an array of [re, im] pairs")
     if len(raw) != 1 << min(total, 63):  # no document holds 2^63 amplitudes
-        expected = 1 << total if total < 63 else f"2^{total}"
+        expected = 1 << total if total < 63 else "2^" + _brief(total, str)
         raise ValueError(
             f"expected {_brief(expected, str)} amplitudes for "
             f"{_brief(total, str)} qubits, got {len(raw)}"
@@ -233,7 +233,7 @@ def qfs_from_dict(d: Mapping, cap: int) -> QuantumFuzzySet:
     q = QuantumFuzzySet(state, layout)
     if declared != q.universe_size:
         raise ValueError(
-            f"universe_size {declared} does not match the value segment "
+            f"universe_size {_brief(declared)} does not match the value segment "
             f"({q.universe_size} qubits)"
         )
     return q

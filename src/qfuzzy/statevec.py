@@ -135,9 +135,11 @@ def basis_probability(state: StateVector, bits: str) -> float:
 def check_shots(shots: int, what: str = "shots") -> None:
     """Raise ``ValueError`` unless 1 <= ``shots`` <= :data:`MAX_SHOTS`."""
     if shots < 1:
-        raise ValueError(f"{what} must be >= 1, got {shots}")
+        raise ValueError(f"{what} must be >= 1, got {_brief(shots)}")
     if shots > MAX_SHOTS:
-        raise ValueError(f"{what} must be <= {MAX_SHOTS} (2^63 - 1), got {shots}")
+        raise ValueError(
+            f"{what} must be <= {MAX_SHOTS} (2^63 - 1), got {_brief(shots)}"
+        )
 
 
 def sample_distribution(
@@ -182,85 +184,68 @@ def schmidt_rank(state: StateVector, left: Iterable[int]) -> int:
 
 
 def _kron_columns(columns: np.ndarray) -> np.ndarray:
-    """The kron of the n 2-vectors along the second-to-last axis of the
-    (..., n, 2) array ``columns``, as a (..., 2^n) array with the leading
-    axes kept: a chain of outer products (the products of ``np.kron``,
-    without its per-call overhead)."""
-    lead = columns.shape[:-2]
-    out = np.ones(lead + (1,))
-    for column in np.moveaxis(columns, -2, 0):
-        out = (out[..., :, None] * column[..., None, :]).reshape(lead + (-1,))
+    """The kron of the n 2-vectors in ``columns``, an (n, 2) array or a
+    list of its rows, as 2^n amplitudes: a chain of outer products (the
+    products of ``np.kron``, without its per-call overhead)."""
+    out = np.ones(1)
+    for column in columns:
+        out = (out[:, None] * column).reshape(-1)
     return out
 
 
-def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """<x, y> of each pair of equally shaped (batch, rows, cols) views,
-    reduced along the longer of rows and cols first."""
-    return np.vecdot(x, y, axis=1 + int(x.shape[1] <= x.shape[2])).sum(axis=-1)
+def _inner(x: np.ndarray, y: np.ndarray) -> complex:
+    """<x, y> of two equally shaped (rows, cols) views, reduced along the
+    longer of rows and cols first."""
+    return complex(np.vecdot(x, y, axis=int(x.shape[0] <= x.shape[1])).sum())
 
 
-def _qubit_split(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Schmidt rank of every 1-vs-rest bipartition of each register in the
-    (batch, 2^n) array ``amps``, as a (batch, n) array, and, when all are 1,
-    the phase-fixed factors as a (batch, n, 2) array.  The qubit-vs-rest
-    matrix m has two rows, the halves a and b of the register where the
-    qubit is 0 and 1, read as strided views without a copy.  One
-    Gram-Schmidt step gives the R factor of the QR decomposition
-    m.T = [a b] = QR: r11 = |a|, r12 = <a, b>/r11 and r22 = |b - r12 a/r11|,
-    each within about eps |m| of the Householder R (when |a|^2 is subnormal
-    r11 loses digits, but r11 then scales every error it causes in the
-    singular values).  As m = R.T Q.T, the 2x2 SVD of R.T gives m's singular
-    values and left vectors (Chan's R-SVD, ACM TOMS 8(1), 1982).  The one
-    temporary, the residual, is half the batch.  A product rebuilt from the
-    top left vectors lies within sqrt(sum of discarded s^2) of its register;
-    farther off than twice that is a numerical fault.  Each step is one
-    array operation over the batch, and a batch of one computes what a
-    scalar step would, bit for bit."""
-    batch, dim = amps.shape
-    n = dim.bit_length() - 1
-    ranks = np.empty((batch, n), dtype=np.int64)
-    tops = np.empty((batch, n, 2), dtype=np.complex128)
-    discarded = np.zeros(batch)
-    r_t = np.zeros((batch, 2, 2), dtype=np.complex128)
-    for q in range(n):
-        halves = amps.reshape(batch, 1 << q, 2, -1)
-        a, b = halves[:, :, 0], halves[:, :, 1]
+def _qubit_split(amps: np.ndarray) -> tuple[list[int], list[np.ndarray] | None]:
+    """Schmidt rank of every 1-vs-rest bipartition of the register ``amps``
+    (2^n amplitudes), one per qubit, and, when all are 1, the phase-fixed
+    factors, one 2-vector per qubit.  The qubit-vs-rest matrix m has two
+    rows, the halves a and b of the register where the qubit is 0 and 1,
+    read as strided views without a copy.  One Gram-Schmidt step gives the
+    R factor of the QR decomposition m.T = [a b] = QR: r11 = |a|,
+    r12 = <a, b>/r11 and r22 = |b - r12 a/r11|, each within about eps |m| of
+    the Householder R (when |a|^2 is subnormal r11 loses digits, but r11
+    then scales every error it causes in the singular values).  As
+    m = R.T Q.T, the 2x2 SVD of R.T gives m's singular values and left
+    vectors (Chan's R-SVD, ACM TOMS 8(1), 1982).  The one temporary, the
+    residual, is half the register.  A product rebuilt from the top left
+    vectors lies within sqrt(sum of discarded s^2) of its register; farther
+    off than twice that is a numerical fault."""
+    ranks, tops, discarded = [], [], 0.0
+    for q in range(len(amps).bit_length() - 1):
+        halves = amps.reshape(1 << q, 2, -1)
+        a, b = halves[:, 0], halves[:, 1]
         aa = _inner(a, a).real
-        ab = _inner(a, b)
-        # r12 / r11, 0 where a = 0; dividing each part by the real aa, as
-        # Python's complex / float does, not by numpy's complex division
-        coef = np.zeros(batch, dtype=np.complex128)
-        np.divide(ab.real, aa, out=coef.real, where=aa > 0.0)
-        np.divide(ab.imag, aa, out=coef.imag, where=aa > 0.0)
-        residual = a * coef[:, None, None]
+        # r12 / r11, 0 where a = 0; Python's complex / float divides each
+        # part by the real aa, where numpy's complex division would not
+        coef = _inner(a, b) / aa if aa > 0.0 else 0j
+        residual = a * coef
         np.subtract(b, residual, out=residual)
-        flat = residual.reshape(batch, -1)
-        r11 = np.sqrt(aa)
-        r_t[:, 0, 0] = r11
-        r_t[:, 1, 0] = coef * r11
-        r_t[:, 1, 1] = np.sqrt(np.vecdot(flat, flat).real)
-        u, s, _ = np.linalg.svd(r_t)
-        ranks[:, q] = np.count_nonzero(s > RANK_SV_TOL, axis=1)
+        flat = residual.reshape(-1)
+        r11 = math.sqrt(aa)
+        r22 = math.sqrt(np.vecdot(flat, flat).real)
+        u, s, _ = np.linalg.svd(np.array([[r11, 0.0], [coef * r11, r22]]))
+        ranks.append(int(np.count_nonzero(s > RANK_SV_TOL)))
         # fix the phase: |0> coefficient (|1> if that is 0) real non-negative;
         # np.hypot gives abs()'s bits, where np.abs of a complex array rounds
         # differently
-        top = u[:, :, 0]
-        pivot = np.where(np.hypot(top[:, 0].real, top[:, 0].imag) > EXACT_TOL,
-                         top[:, 0], top[:, 1])
-        tops[:, q] = top * (pivot.conj() / np.hypot(pivot.real, pivot.imag))[:, None]
-        discarded += np.sum(s[:, 1:] ** 2, axis=1)
-    if (ranks != 1).any():
+        top = u[:, 0]
+        pivot = top[0] if np.hypot(top[0].real, top[0].imag) > EXACT_TOL else top[1]
+        tops.append(top * (pivot.conj() / np.hypot(pivot.real, pivot.imag)))
+        discarded += s[1] * s[1]
+    if any(rank != 1 for rank in ranks):
         return ranks, None
     rebuilt = _kron_columns(tops)
-    rebuilt *= np.vecdot(rebuilt, amps)[:, None]
+    rebuilt *= np.vecdot(rebuilt, amps)
     rebuilt -= amps
-    deviation = np.max(np.abs(rebuilt), axis=1)
-    bound = NORM_TOL + 2.0 * np.sqrt(discarded)
-    worst = int(np.argmax(deviation - bound))
-    if deviation[worst] > bound[worst]:
+    deviation = float(np.max(np.abs(rebuilt)))
+    bound = NORM_TOL + 2.0 * math.sqrt(discarded)
+    if deviation > bound:
         raise RuntimeError(
-            f"product factors miss the state by {deviation[worst]:.3e} > "
-            f"{bound[worst]:.3e}"
+            f"product factors miss the state by {deviation:.3e} > {bound:.3e}"
         )
     return ranks, tops
 
@@ -270,8 +255,8 @@ def factor_product_state(state: StateVector) -> list[StateVector] | None:
     real non-negative), or return None unless :func:`schmidt_rank` is 1 on
     every 1-vs-rest bipartition.  Scaled by its overlap with ``state``, their
     kron matches it within NORM_TOL + 2 sqrt(sum of discarded singular values^2)."""
-    tops = _qubit_split(state.amplitudes[None])[1]
-    return None if tops is None else [StateVector(1, f) for f in tops[0]]
+    tops = _qubit_split(state.amplitudes)[1]
+    return None if tops is None else [StateVector(1, f) for f in tops]
 
 
 def bloch_point(q: StateVector) -> tuple[float, float, float]:

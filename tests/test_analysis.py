@@ -1,4 +1,5 @@
 import math
+import re
 from functools import reduce
 from itertools import product
 
@@ -7,7 +8,14 @@ import pytest
 
 from helpers import random_fuzzy
 
-from qfuzzy.analysis import cfs_inner, check_orthogonality, entanglement_report
+import qfuzzy.statevec
+from qfuzzy.analysis import (
+    cfs_inner,
+    check_orthogonality,
+    column_report,
+    entanglement_report,
+)
+from qfuzzy.exprparser import Environment, evaluate, parse
 from qfuzzy.fuzzy import FuzzySet
 from qfuzzy.qfs import encode, superpose
 from qfuzzy.reference import sampling_vs_oracle, total_variation
@@ -174,6 +182,46 @@ def test_report_rebuilds_state_after_phase_removal():
     )
     overlap = abs(np.vdot(rebuilt.amplitudes, state.amplitudes))
     assert overlap == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: entanglement_report(encode(FuzzySet([0.3, 0.8, 1.0]))),
+        lambda: column_report(
+            evaluate(
+                parse("A AND NOT B"),
+                Environment(
+                    universe_size=2,
+                    bindings={"A": FuzzySet([1.0, 0.0]), "B": FuzzySet([0.0, 1.0])},
+                    mode="quantum",
+                ),
+            )
+        ),
+    ],
+    ids=["register", "columns"],
+)
+def test_product_check_reports_a_numerical_fault(monkeypatch, make):
+    """With the tolerance made unreachable, every product fails the check
+    that its factors rebuild it, and the error gives both numbers."""
+    monkeypatch.setattr(qfuzzy.statevec, "NORM_TOL", -1.0)
+    with pytest.raises(RuntimeError) as err:
+        make()
+    message = str(err.value)
+    missed = re.fullmatch(r"product factors miss the state by (\S+) > (\S+)", message)
+    deviation, bound = map(float, missed.groups())
+    assert bound == pytest.approx(-1.0)
+    assert 0.0 <= deviation <= 1e-15
+
+
+def test_entangled_register_skips_the_product_check(monkeypatch):
+    monkeypatch.setattr(qfuzzy.statevec, "NORM_TOL", -1.0)
+    q = superpose(
+        [(math.sqrt(0.5), FuzzySet([1, 0])), (math.sqrt(0.5), FuzzySet([0, 1]))]
+    )
+    report = entanglement_report(q)
+    assert report.per_qubit_schmidt_ranks == (2, 2)
+    assert not report.is_product
 
 
 # --- sampling vs enumeration ------------------------------------------------------

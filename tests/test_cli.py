@@ -800,6 +800,93 @@ def test_rejected_value_is_not_echoed_whole(
     assert err.count("\n") == 1 and len(err.encode()) < 200
 
 
+#: The largest integer json.loads accepts: as many 9s as int() converts.
+LIMIT_INT = int("9" * sys.get_int_max_str_digits())
+#: A segment length whose layout tiles, but whose total is past the limit.
+HALF_LIMIT = 5 * 10 ** (sys.get_int_max_str_digits() - 1)
+STATE_OF_ONE = {"layout": [["value", 1, 1]], "amplitudes": [[1, 0], [0, 0]]}
+LIMIT_NINES = "9" * 32 + "..."
+
+
+@pytest.mark.parametrize(
+    "argv, document, exit_code, message",
+    [
+        (
+            ["eval"],
+            eval_spec(universe_size=LIMIT_INT, sets={}, expression="FUZ(1, 0)",
+                      mode="quantum"),
+            3,
+            "register of <int> qubits exceeds the cap of 24 qubits",
+        ),
+        (
+            ["report"],
+            json.dumps({
+                "universe_size": HALF_LIMIT,
+                "layout": [["value", 1, HALF_LIMIT], ["x", HALF_LIMIT + 1, HALF_LIMIT]],
+                "amplitudes": [],
+            }),
+            3,
+            "register of <int> qubits exceeds the cap of 24 qubits",
+        ),
+        (
+            ["report"],
+            json.dumps({
+                "universe_size": LIMIT_INT,
+                "layout": [["value", 1, LIMIT_INT], ["x", 5, 1]],
+                "amplitudes": [],
+            }),
+            2,
+            "segments must tile the register contiguously; 'x' starts at 5, "
+            "expected <int>",
+        ),
+        (
+            ["eval", "--trials", str(LIMIT_INT)],
+            eval_spec(),
+            2,
+            f"trials must be <= 9223372036854775807 (2^63 - 1), got {LIMIT_NINES}",
+        ),
+        (
+            ["eval"],
+            eval_spec(trials=LIMIT_INT),
+            2,
+            f"trials must be <= 9223372036854775807 (2^63 - 1), got {LIMIT_NINES}",
+        ),
+        (
+            ["sample", "--shots", str(LIMIT_INT)],
+            json.dumps({"universe_size": 1, **STATE_OF_ONE}),
+            2,
+            f"shots must be <= 9223372036854775807 (2^63 - 1), got {LIMIT_NINES}",
+        ),
+        (
+            ["encode"],
+            json.dumps({"universe_size": LIMIT_INT, "memberships": [0.5]}),
+            2,
+            f"universe_size {LIMIT_NINES} does not match 1 memberships",
+        ),
+        (
+            ["report"],
+            json.dumps({"universe_size": LIMIT_INT, **STATE_OF_ONE}),
+            2,
+            f"universe_size {LIMIT_NINES} does not match the value segment "
+            "(1 qubits)",
+        ),
+    ],
+    ids=[
+        "eval_planned_qubits", "report_layout_total", "report_tiling",
+        "eval_trials_flag", "eval_trials_spec", "sample_shots",
+        "encode_universe_size", "report_universe_size",
+    ],
+)
+def test_integer_at_the_digit_limit_is_quoted_briefly(
+    capsys, monkeypatch, argv, document, exit_code, message
+):
+    """An integer as long as JSON allows, or a sum of two, is quoted in one
+    short line, and is refused with the exit code of its own fault."""
+    code, out, err = run_cli(capsys, monkeypatch, argv, document)
+    assert (code, out) == (exit_code, "")
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("flag", ["--qubit-cap", "--seed", "--trials"])
 @pytest.mark.parametrize(
     "value", ["9" * 5000, "-" + "9" * 3000], ids=["long", "long_negative"]

@@ -57,7 +57,7 @@ from qfuzzy.qfs import (
     value_marginals,
 )
 from qfuzzy.reference import total_variation
-from qfuzzy.statevec import schmidt_rank
+from qfuzzy.statevec import check_register_cap, schmidt_rank
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "parser_golden.json").read_text()
@@ -841,10 +841,12 @@ def test_environment_validation():
          "qubit_cap must be an integer >= 0, got -3"),
         (lambda: Environment(universe_size=1, bindings={}, seed=object()), ValueError,
          "seed must be an integer >= 0, got <object>"),
+        (lambda: check_register_cap(10**5000, 24), ResourceLimitError,
+         "register of <int> qubits exceeds the cap of 24 qubits"),
     ],
     ids=[
         "universe_size", "seed", "pretty_print", "universe_size_float", "seed_bool",
-        "trials_bool", "qubit_cap_negative", "seed_object",
+        "trials_bool", "qubit_cap_negative", "seed_object", "cap_past_digit_limit",
     ],
 )
 def test_library_refusals(make, error, message):

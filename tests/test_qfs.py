@@ -891,10 +891,14 @@ TWO_QUBITS = RegisterLayout.single("value", 2)
             lambda: RegisterLayout(((7, 1, 1),)),
             "layout segment names must be strings, got 7",
         ),
+        (
+            lambda: RegisterLayout((10**5000,)),
+            "layout rows must be [name, start, length], got <int>",
+        ),
     ],
     ids=[
         "fuz_linear", "fuz_isometry", "no_segments", "empty_segment", "layout_size",
-        "bool_start", "float_length", "int_name",
+        "bool_start", "float_length", "int_name", "int_past_digit_limit",
     ],
 )
 def test_library_refusals(make, message):
