@@ -58,7 +58,6 @@ from .statevec import (
     DEFAULT_TRIALS,
     check_register_cap,
     check_shots,
-    draw_counts,
 )
 
 np = lazy_import("numpy")
@@ -543,8 +542,11 @@ def evaluate(ast: ExprAst, env: Environment):
     3. Any other top-level DEFUZ builds no register.  It draws its counts
        over ``env.trials`` trials, seeded by ``env.seed``, from
        :func:`com_law` of its body's Born weights (:func:`_born_weights`),
-       as :func:`defuzzify` draws them from the register.  Both run in
-       Python floats, as the classical DEFUZ does; numpy runs the draw.
+       as :func:`defuzzify` draws them from the register.  The law runs in
+       Python floats, as the classical DEFUZ does, and so does the draw:
+       :func:`~qfuzzy._multinomial.draw_law` gives the counts that
+       :func:`~qfuzzy.statevec.draw_counts` gives with
+       ``np.random.default_rng(env.seed)``, bit for bit, without numpy.
     4. Any other quantum tree returns the register :func:`eval_quantum`
        would build as one w-qubit column per universe element
        (:class:`ColumnSet`, a list of N registers of 2^w amplitudes), read
@@ -570,9 +572,9 @@ def evaluate(ast: ExprAst, env: Environment):
         return eval_quantum(ast, env)
     check_register_cap(plan(ast, env), env.qubit_cap)
     if isinstance(ast, Defuz):
-        rng = np.random.default_rng(env.seed)
-        law = com_law(*_born_weights(body, env))
-        return draw_counts(np.array(law), rng, env.trials)
+        from ._multinomial import draw_law  # imported here: no other route loads it
+
+        return draw_law(com_law(*_born_weights(body, env)), env.seed, env.trials)
     return _fold(
         ast, lambda leaf: _leaf_columns(leaf, env), column_not, column_and, column_or
     )

@@ -399,11 +399,14 @@ def defuzzify(
     ancillas then read c with the total probability of the value bit
     patterns whose center of mass is c, so that marginal is summed from the
     unpadded register read as a (before, value, after) array: the
-    distribution along the value axis, binned by :func:`_com_table`.  The cap still counts the N ancillas.  The trials
-    are independent, so :func:`draw_counts` draws them in one pass from
-    that marginal.  (``exprparser.evaluate`` draws a SUPERPOSE-free
-    expression's counts from :func:`~qfuzzy.fuzzy.com_law` of per-element
-    weights instead, in Python floats and without a register.)
+    distribution along the value axis, binned by :func:`_com_table`.  The
+    cap still counts the N ancillas.  The trials are independent, so
+    :func:`draw_counts` draws them in one pass from that marginal.
+    (``exprparser.evaluate`` draws a SUPERPOSE-free expression's counts
+    from :func:`~qfuzzy.fuzzy.com_law` of per-element weights instead,
+    without a register or numpy: :func:`~qfuzzy._multinomial.draw_law`
+    draws the same counts as :func:`draw_counts` with
+    ``np.random.default_rng(seed)``.)
     """
     check_shots(trials, "trials")
     n = q.universe_size

@@ -41,7 +41,8 @@ EXACT_TOL = 1e-12
 #: slice at a time, so that the temporaries stay this small.
 AMP_SLICE = 1 << 12
 #: Most trials one sampling call draws: ``Generator.multinomial`` takes its
-#: count as an int64.
+#: count as an int64, and :func:`~qfuzzy._multinomial.draw_law` reproduces
+#: its draws up to this count.
 MAX_SHOTS = 2**63 - 1
 #: Trials a quantum DEFUZ or a ``sample`` draws by default.
 DEFAULT_TRIALS = 10000

@@ -21,6 +21,7 @@ from qfuzzy.cli import _quantum_payload, main
 from qfuzzy.exprparser import Environment, _born_weights, eval_classical, evaluate, parse
 from qfuzzy.fuzzy import MAX_ENUM_UNIVERSE, FuzzySet, com_law, com_pushforward
 from qfuzzy.qfs import column_marginals
+from qfuzzy.statevec import draw_counts
 
 
 def run_cli(capsys, monkeypatch, argv, stdin=""):
@@ -1219,7 +1220,10 @@ def _probe_spec(**overrides):
         *[_malformed(kind) for kind in WORKLOADS._MALFORMED],
         (["eval"], _probe_spec(mode="quantum", qubit_cap=8), 3, False),
         (["eval"], _probe_spec(mode="quantum"), 0, True),
-        (["eval"], _probe_spec(mode="quantum", expression="DEFUZ(A AND B)"), 0, True),
+        (["eval"], _probe_spec(mode="quantum", expression="DEFUZ(A AND B)"), 0, False),
+        (["eval"], _probe_spec(
+            mode="quantum", expression="DEFUZ(SUPERPOSE(1.0 * A, 0.5 * B))"
+        ), 0, True),
         (["eval"], _probe_spec(expression="DEFUZ(A OR B)"), 0, False),
         (["eval"], eval_spec(
             universe_size=MAX_ENUM_UNIVERSE,
@@ -1230,14 +1234,15 @@ def _probe_spec(**overrides):
     ids=[
         "import", "one_element", "connectives",
         *[f"malformed_{kind}" for kind in WORKLOADS._MALFORMED],
-        "quantum_over_cap", "quantum", "quantum_defuz", "classical_defuz",
-        "classical_defuz_at_limit",
+        "quantum_over_cap", "quantum", "quantum_defuz", "quantum_defuz_superpose",
+        "classical_defuz", "classical_defuz_at_limit",
     ],
 )
 def test_numpy_loads_only_where_arrays_are_used(argv, stdin, exit_code, loads_numpy):
-    """A fresh interpreter executes numpy only for a register, a quantum
-    DEFUZ law or a sample: not for an import, a classical expression (DEFUZ
-    included), or a spec refused before any register is built."""
+    """A fresh interpreter executes numpy only for a register, a DEFUZ over
+    SUPERPOSE or a sample: not for an import, a classical expression (DEFUZ
+    included), a quantum DEFUZ without SUPERPOSE, or a spec refused before
+    any register is built."""
     src = Path(qfuzzy.__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_PROBE, *argv],
@@ -1250,23 +1255,28 @@ def test_numpy_loads_only_where_arrays_are_used(argv, stdin, exit_code, loads_nu
     assert proc.stderr.splitlines()[-1] == f"{exit_code} {loads_numpy}"
 
 
-#: Prints both DEFUZ laws of the probe sets, then whether numpy was imported.
+#: Prints both DEFUZ laws of the probe sets and the quantum law's draw, then
+#: whether numpy was imported.
 _LAW_PROBE = """
 import sys
+from qfuzzy._multinomial import draw_law
 from qfuzzy.exprparser import Environment, _born_weights, parse
 from qfuzzy.fuzzy import FuzzySet, com_law, com_pushforward
 sets = {name: FuzzySet(m) for name, m in %r.items()}
 env = Environment(universe_size=3, bindings=sets, mode="quantum")
 ast = parse("NOT A AND (B OR FUZ(2, 1))")
-print(com_law(*_born_weights(ast, env)), com_pushforward(sets["A"]))
+law = com_law(*_born_weights(ast, env))
+print(law, com_pushforward(sets["A"]))
+print(draw_law(law, %d, %d))
 print("numpy._core" in sys.modules)
-""" % PROBE_SETS
+""" % (PROBE_SETS, 2**64 + 5, 12345)
 
 
 def test_defuz_laws_need_no_numpy():
     """Both DEFUZ laws, the quantum one of a SUPERPOSE-free body's Born
-    weights and the classical one, run in a fresh interpreter without
-    numpy, and print what they give in this process."""
+    weights and the classical one, and the quantum law's draw run in a
+    fresh interpreter without numpy, and print what they give in this
+    process; the draw gives numpy's counts."""
     src = Path(qfuzzy.__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-c", _LAW_PROBE],
@@ -1279,4 +1289,51 @@ def test_defuz_laws_need_no_numpy():
     sets = {name: FuzzySet(m) for name, m in PROBE_SETS.items()}
     env = Environment(universe_size=3, bindings=sets, mode="quantum")
     law = com_law(*_born_weights(parse("NOT A AND (B OR FUZ(2, 1))"), env))
-    assert proc.stdout.splitlines() == [f"{law} {com_pushforward(sets['A'])}", "False"]
+    counts = draw_counts(np.array(law), np.random.default_rng(2**64 + 5), 12345)
+    assert proc.stdout.splitlines() == [
+        f"{law} {com_pushforward(sets['A'])}",
+        str(counts),
+        "False",
+    ]
+
+
+#: Imports qfuzzy, runs ``main`` on its arguments, and ends stderr with the
+#: exit code and whether the Python multinomial was imported.
+_DRAW_PROBE = """
+import sys
+from qfuzzy.cli import main
+code = main(sys.argv[1:])
+print(code, "qfuzzy._multinomial" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "stdin, exit_code, loads_draw",
+    [
+        (_probe_spec(expression="NOT A AND (B OR FUZ(2, 1))"), 0, False),
+        (_probe_spec(expression="DEFUZ(A OR B)"), 0, False),
+        (*_malformed("unbound")[1:3], False),
+        (_probe_spec(mode="quantum", qubit_cap=8), 3, False),
+        (_probe_spec(mode="quantum"), 0, False),
+        (_probe_spec(mode="quantum", expression="DEFUZ(SUPERPOSE(1.0 * A))"), 0, False),
+        (_probe_spec(mode="quantum", expression="DEFUZ(A AND B)"), 0, True),
+    ],
+    ids=[
+        "classical", "classical_defuz", "malformed", "quantum_over_cap", "quantum",
+        "quantum_defuz_superpose", "quantum_defuz",
+    ],
+)
+def test_only_the_born_weights_defuz_imports_the_python_draw(stdin, exit_code, loads_draw):
+    """A fresh interpreter imports ``qfuzzy._multinomial`` only for a quantum
+    DEFUZ without SUPERPOSE: a classical ``eval`` and a refused spec never
+    compile it."""
+    src = Path(qfuzzy.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _DRAW_PROBE, "eval"],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.stderr.splitlines()[-1] == f"{exit_code} {loads_draw}"

@@ -57,7 +57,7 @@ from qfuzzy.qfs import (
     value_marginals,
 )
 from qfuzzy.reference import total_variation
-from qfuzzy.statevec import check_register_cap, schmidt_rank
+from qfuzzy.statevec import MAX_SHOTS, check_register_cap, draw_counts, schmidt_rank
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "parser_golden.json").read_text()
@@ -646,6 +646,29 @@ def test_defuz_weights_and_law_keep_the_numpy_bits():
         law = np.array(com_law(*weights))
         assert law.tobytes() == reference_com_law(*expected).tobytes(), text
     assert min(shown[word] for word in words) >= 500, shown
+
+
+def test_defuz_route_draws_the_counts_numpy_drew():
+    """The Born-weights route against the numpy program it replaces,
+    ``draw_counts(np.array(law), default_rng(seed), trials)``, on random
+    crisp-heavy trees, seeds past 2^64 and trial counts up to MAX_SHOTS."""
+    rng = np.random.default_rng(139)
+    rnd = random.Random(139)
+    names = ["A", "B", "C"]
+    for _ in range(600):
+        n = int(rng.integers(1, 13))
+        bindings = {name: _crisp_heavy(rng, n) for name in names}
+        seed = rnd.randrange(2 ** rnd.choice((16, 64, 70)))
+        trials = rnd.choice(
+            (rnd.randint(1, 10**4), rnd.randint(1, MAX_SHOTS), MAX_SHOTS - rnd.randrange(10**3))
+        )
+        env = Environment(
+            n, bindings, mode="quantum", seed=seed, trials=trials, qubit_cap=13 * n
+        )
+        ast = random_marginal_expr(rng, names, n, depth=4, budget=12 * n)
+        law = com_law(*_born_weights(ast, env))
+        want = draw_counts(np.array(law), np.random.default_rng(seed), trials)
+        assert evaluate(Defuz(ast), env) == want, (pretty_print(ast), seed, trials)
 
 
 def _run_eval(tmp_path, capsys, spec, *flags):
