@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from ._lazy import lazy_import
 from .fuzzy import FuzzySet, common_universe
-from .qfs import ColumnSet, QuantumFuzzySet
+from .qfs import QuantumFuzzySet
 from .statevec import StateVector, _qubit_split
 
 np = lazy_import("numpy")
@@ -34,17 +34,25 @@ class OrthogonalityVerdict:
 class EntanglementReport:
     """Per-qubit structure of a register state.
 
-    ``canonical_fuzzy_set``, ``phases`` and ``factors`` are present exactly
+    ``canonical_fuzzy_set``, ``phases`` and ``tops`` are present exactly
     when the state is a product: each phase-fixed factor a|0> + b|1> (from
-    :func:`factor_product_state`) contributes membership |b|^2 and relative
-    phase arg(b) - arg(a).
+    :func:`factor_product_state`), held in ``tops`` as the pair (a, b),
+    contributes membership |b|^2 and relative phase arg(b) - arg(a).
     """
 
     per_qubit_schmidt_ranks: tuple[int, ...]
     is_product: bool
     canonical_fuzzy_set: FuzzySet | None
     phases: tuple[float, ...] | None
-    factors: tuple[StateVector, ...] | None
+    tops: tuple | None
+
+    @property
+    def factors(self) -> tuple[StateVector, ...] | None:
+        """The factors as one-qubit registers, built when read, so that a
+        report read only for its numbers never loads numpy."""
+        if self.tops is None:
+            return None
+        return tuple(StateVector(1, np.array(top, np.complex128)) for top in self.tops)
 
 
 def cfs_inner(f: FuzzySet, g: FuzzySet) -> float:
@@ -80,26 +88,7 @@ def entanglement_report(q: QuantumFuzzySet | StateVector) -> EntanglementReport:
     the fuzzy set and per-qubit phases recovered by rotating each factor back
     to the zero-phase meridian."""
     state = q.state if isinstance(q, QuantumFuzzySet) else q
-    return _report(*_qubit_split(state.amplitudes))
-
-
-def column_report(c: ColumnSet) -> EntanglementReport:
-    """:func:`entanglement_report` of the register ``c`` stands for, from
-    one split of each column.  A qubit's partner in every other column is
-    a separate factor of unit norm, so its Schmidt rank and factor against
-    the rest of the register are those against the rest of its column; the
-    columns' results are interleaved so that qubit s of element j is
-    reported at (s - 1) * N + j."""
-    ranks, tops = zip(*map(_qubit_split, c.columns))
-    ranks = [rank for qubit in zip(*ranks) for rank in qubit]
-    if any(t is None for t in tops):
-        return _report(ranks, None)
-    return _report(ranks, [factor for qubit in zip(*tops) for factor in qubit])
-
-
-def _report(ranks: list[int], tops: list[np.ndarray] | None) -> EntanglementReport:
-    """The report on qubits with these ranks and, for a product, these
-    phase-fixed factors a|0> + b|1>, one 2-vector each."""
+    ranks, tops = _qubit_split(state.amplitudes)
     ranks = tuple(ranks)
     if tops is None:
         return EntanglementReport(ranks, False, None, None, None)
@@ -112,7 +101,6 @@ def _report(ranks: list[int], tops: list[np.ndarray] | None) -> EntanglementRepo
         else:
             phi = float(np.angle(b) - np.angle(a))
         phases.append(0.0 if abs(phi) < PHASE_SNAP_TOL else phi)
-    factors = tuple(StateVector(1, f) for f in tops)
     return EntanglementReport(
-        ranks, True, FuzzySet(memberships), tuple(phases), factors
+        ranks, True, FuzzySet(memberships), tuple(phases), tuple(tops)
     )

@@ -11,22 +11,15 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from typing import Iterable
 
 from . import serialize
 from ._lazy import lazy_import
-from .analysis import EntanglementReport, column_report, entanglement_report
+from .analysis import EntanglementReport, entanglement_report
 from .errors import ResourceLimitError, _brief
 from .exprparser import EvalError, ParseError, evaluate, parse
 from .fuzzy import FuzzySet
-from .qfs import (
-    VALUE_SEGMENT,
-    ColumnSet,
-    QuantumFuzzySet,
-    RegisterLayout,
-    column_marginals,
-    encode,
-    value_marginals,
-)
+from .qfs import VALUE_SEGMENT, QuantumFuzzySet, RegisterLayout, encode, value_marginals
 from .statevec import DEFAULT_QUBIT_CAP, DEFAULT_TRIALS, bloch_point
 from .statevec import sample_distribution
 
@@ -73,7 +66,7 @@ def _cmd_encode(args: argparse.Namespace) -> str:
 
 
 def _quantum_payload(
-    layout: RegisterLayout, report: EntanglementReport, marginals: np.ndarray
+    layout: RegisterLayout, report: EntanglementReport, marginals: Iterable[float]
 ) -> dict:
     return {
         "mode": "quantum",
@@ -93,13 +86,15 @@ def _cmd_eval(args: argparse.Namespace) -> str:
     result = evaluate(parse(expression), env)
     if isinstance(result, FuzzySet):
         payload = {"mode": "classical", **serialize.fuzzy_set_to_dict(result)}
-    elif isinstance(result, ColumnSet):
-        payload = _quantum_payload(
-            result.dense_layout(), column_report(result), column_marginals(result)
-        )
     elif isinstance(result, QuantumFuzzySet):
         payload = _quantum_payload(
             result.layout, entanglement_report(result), value_marginals(result)
+        )
+    elif not isinstance(result, dict):  # route 4's supports
+        from .supports import support_marginals, support_report  # as evaluate does
+
+        payload = _quantum_payload(
+            result.dense_layout(), support_report(result), support_marginals(result)
         )
     elif env.mode == "classical":
         payload = {

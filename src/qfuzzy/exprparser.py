@@ -38,15 +38,9 @@ from .fuzzy import (
     union,
 )
 from .qfs import (
-    ColumnSet,
     QuantumFuzzySet,
-    column_and,
-    column_not,
-    column_or,
     defuzzify,
     encode,
-    encode_columns,
-    fuz_columns,
     fuz_isometry,
     qand,
     qnot,
@@ -548,19 +542,24 @@ def evaluate(ast: ExprAst, env: Environment):
        :func:`~qfuzzy.statevec.draw_counts` gives with
        ``np.random.default_rng(env.seed)``, bit for bit, without numpy.
     4. Any other quantum tree returns the register :func:`eval_quantum`
-       would build as one w-qubit column per universe element
-       (:class:`ColumnSet`, a list of N registers of 2^w amplitudes), read
-       with :func:`column_report` and :func:`column_marginals`; the
-       columns, N * 2^w amplitudes, are never larger than that register.
+       would build as one sparse column per universe element
+       (:class:`~qfuzzy.supports.Supports`, a dict per element from basis
+       pattern to nonzero amplitude), read with
+       :func:`~qfuzzy.supports.support_report` and
+       :func:`~qfuzzy.supports.support_marginals`.  It runs in Python
+       floats without numpy, as routes 1 and 3 do.
 
     Routes 3 and 4 are exact.  A leaf's register is a product over the
     elements, and each gate the evaluator applies (X, or a Toffoli into
     fresh |0>) acts within one element's qubits, so every node's register
     is the product of its N columns.  An identifier gives the columns
-    (sqrt(1-m), sqrt(m)) and a FUZ leaf its seed and window qubits
-    (:func:`fuz_columns`); NOT, AND and OR run :func:`qnot`'s reversal and
-    the :func:`qand` and :func:`qor` scatter once per column.  So
-    the value bits are independent, and the readout law is the dynamic
+    (sqrt(1-m), sqrt(m)) and a FUZ leaf its seed and window qubits.  These
+    are real and non-negative, and the gates only permute basis patterns,
+    so a column has one real, non-negative entry per combination of its
+    leaves' values: NOT flips the value bit of each pattern, and AND and
+    OR write each pairwise product of their inputs' entries to one
+    pattern, as the :func:`qand` and :func:`qor` scatter does.  So the
+    value bits are independent, and the readout law is the dynamic
     program over each bit's Born weights.  Those weights keep the
     register's exact zeros, which fix the drawn counts.  A superposed
     state is not a product across elements, so it needs the register.
@@ -575,8 +574,15 @@ def evaluate(ast: ExprAst, env: Environment):
         from ._multinomial import draw_law  # imported here: no other route loads it
 
         return draw_law(com_law(*_born_weights(body, env)), env.seed, env.trials)
+    from . import supports  # imported here: no other route compiles it
+
+    def leaf(node: Ident | Fuz) -> supports.Supports:
+        if isinstance(node, Fuz):
+            return supports.fuz_supports(node.index, _leaf(node, env))
+        return supports.encode_supports(_leaf(node, env))
+
     return _fold(
-        ast, lambda leaf: _leaf_columns(leaf, env), column_not, column_and, column_or
+        ast, leaf, supports.support_not, supports.support_and, supports.support_or
     )
 
 
@@ -600,20 +606,15 @@ def eval_quantum(ast: ExprAst, env: Environment) -> QuantumFuzzySet | dict[int, 
     register is checked against ``env.qubit_cap`` before anything is built.
 
     For a SUPERPOSE-free expression the register is the product of the
-    columns :func:`evaluate` returns, and its DEFUZ law is the one
-    :func:`evaluate` draws from without building it.
+    sparse columns :func:`evaluate` returns, zero off their supports, and
+    its DEFUZ law is the one :func:`evaluate` draws from without building
+    it.
     """
     check_register_cap(plan(ast, env), env.qubit_cap)
     if not isinstance(ast, Defuz):
         return _quantum_state(ast, env)
     rng = np.random.default_rng(env.seed)
     return defuzzify(_quantum_state(ast.child, env), rng, env.trials, cap=env.qubit_cap)
-
-
-def _leaf_columns(node: Ident | Fuz, env: Environment) -> ColumnSet:
-    if isinstance(node, Fuz):
-        return fuz_columns(node.index, _leaf(node, env))
-    return encode_columns(_leaf(node, env))
 
 
 def _quantum_state(node: ExprAst, env: Environment) -> QuantumFuzzySet:

@@ -21,6 +21,7 @@ from .statevec import (
     DEFAULT_QUBIT_CAP,
     NORM_TOL,
     StateVector,
+    _inner,
     _kron_columns,
     check_register_cap,
     check_shots,
@@ -126,39 +127,6 @@ class QuantumFuzzySet:
     @property
     def value_qubits(self) -> range:
         return self.layout.qubits(VALUE_SEGMENT)
-
-
-class ColumnSet:
-    """A register that is a product over the universe's N elements, kept as
-    one column per element instead of as 2^(N*w) amplitudes.
-
-    ``columns`` is a list of N one-dimensional registers of 2^w amplitudes
-    each: ``columns[j - 1]`` holds element j's w qubits, and ``layout``
-    names those qubits, one per segment, as a register over a universe of
-    one.  The register stands for the N*w-qubit one laid out by
-    :meth:`dense_layout`, in which qubit s of element j is qubit
-    (s - 1) * N + j.  Every gate of a SUPERPOSE-free expression acts within
-    one element's qubits, so it runs on each column alone, once per column.
-    """
-
-    __slots__ = ("columns", "layout")
-
-    def __init__(self, columns: list[np.ndarray], layout: RegisterLayout):
-        self.columns = columns
-        self.layout = layout
-
-    @property
-    def universe_size(self) -> int:
-        return len(self.columns)
-
-    def dense_layout(self) -> RegisterLayout:
-        """The layout of the register the columns stand for: each segment N
-        times as long."""
-        n = self.universe_size
-        return RegisterLayout(
-            tuple((name, (start - 1) * n + 1, length * n)
-                  for name, start, length in self.layout.segments)
-        )
 
 
 def _product_amplitudes(memberships: np.ndarray) -> np.ndarray:
@@ -458,7 +426,7 @@ def superpose(
     with np.errstate(over="ignore", invalid="ignore"):
         for c, f in terms:
             _add_scaled(vec, complex(c) / scale, _product_amplitudes(f.memberships))
-        norm = float(np.linalg.norm(vec))
+        norm = math.sqrt(_inner(vec, vec).real)
         weight = float(np.abs([complex(c) / scale for c, _ in terms]).sum())
     if not math.isfinite(norm):
         raise ValueError("superposition norm overflows: coefficients too large")
@@ -481,56 +449,3 @@ def value_marginals(q: QuantumFuzzySet) -> np.ndarray:
     return np.array(
         [seg.reshape(1 << i, 2, -1)[:, 1, :].sum() for i in range(q.universe_size)]
     )
-
-
-def encode_columns(f: FuzzySet) -> ColumnSet:
-    """:func:`encode` as columns: element i's column is its one qubit
-    sqrt(1-f(i))|0> + sqrt(f(i))|1>."""
-    columns = [_product_amplitudes([m]) for m in f.memberships]
-    return ColumnSet(columns, RegisterLayout.single(VALUE_SEGMENT, 1))
-
-
-def fuz_columns(index: int, window: FuzzySet) -> ColumnSet:
-    """:func:`fuz_isometry` of the encoded one-hot set at ``index`` as
-    columns, for the square ``window`` of :func:`classical_fuzzify` (1/2
-    inside, 0 outside).  The seed is a basis state, so its image is a
-    product: element i's column is its seed qubit, |1> at ``index`` and |0>
-    elsewhere, then its value qubit, (|0>+|1>)/sqrt(2) inside the window
-    and |0> outside, which is the window encoded."""
-    columns = [_product_amplitudes([float(i == index), m])
-               for i, m in enumerate(window.memberships, start=1)]
-    layout = RegisterLayout(
-        RegisterLayout.single(VALUE_SEGMENT, 1).relabeled("in.")
-        + ((VALUE_SEGMENT, 2, 1),)
-    )
-    return ColumnSet(columns, layout)
-
-
-def column_not(c: ColumnSet) -> ColumnSet:
-    """:func:`qnot` on every column."""
-    return ColumnSet([_not_view(c.layout, x).flatten() for x in c.columns], c.layout)
-
-
-def _column_connective(a: ColumnSet, b: ColumnSet, disjoin: bool) -> ColumnSet:
-    """:func:`_and_scatter` on each pair of columns: element i's Toffoli
-    reads and writes only element i's qubits."""
-    pairs = zip(a.columns, b.columns)
-    columns = [_and_scatter(a.layout, x, b.layout, y, disjoin) for x, y in pairs]
-    return ColumnSet(columns, _and_layout(a.layout, b.layout))
-
-
-def column_and(a: ColumnSet, b: ColumnSet) -> ColumnSet:
-    """:func:`qand` column by column."""
-    return _column_connective(a, b, False)
-
-
-def column_or(a: ColumnSet, b: ColumnSet) -> ColumnSet:
-    """:func:`qor` column by column."""
-    return _column_connective(a, b, True)
-
-
-def column_marginals(c: ColumnSet) -> np.ndarray:
-    """:func:`value_marginals` of the register ``c`` stands for: each
-    element's probability of measuring 1 on its value qubit."""
-    return np.array([_value_axis(c.layout, np.abs(x) ** 2).sum(axis=(0, 2))[1]
-                     for x in c.columns])

@@ -11,6 +11,7 @@ output byte-stable, which the golden tests rely on.
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 from typing import Any, Iterable, Mapping
 
@@ -20,7 +21,7 @@ from .errors import _brief, _json_text, check_int
 from .exprparser import Environment
 from .fuzzy import FuzzySet
 from .qfs import VALUE_SEGMENT, QuantumFuzzySet, RegisterLayout
-from .statevec import AMP_SLICE, StateVector, check_register_cap
+from .statevec import AMP_SLICE, StateVector, _inner, check_register_cap
 
 np = lazy_import("numpy")
 
@@ -222,7 +223,7 @@ def qfs_from_dict(d: Mapping, cap: int) -> QuantumFuzzySet:
         raise ValueError("amplitudes must be [re, im] pairs of JSON numbers")
     parts = _floats(chain.from_iterable(raw), 2 * len(raw), "amplitudes")
     amps = parts.view(np.complex128)
-    norm = float(np.linalg.norm(amps))
+    norm = math.sqrt(_inner(amps, amps).real)
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"state is not normalized (norm {norm:.9f})")
     if abs(norm - 1.0) > 1e-12:

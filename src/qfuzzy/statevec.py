@@ -76,7 +76,7 @@ class StateVector:
         return 1 << self.n_qubits
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return math.sqrt(_inner(self.amplitudes, self.amplitudes).real)
 
 
 def check_register_cap(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> None:
@@ -124,7 +124,7 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
         raise ValueError(
             f"size mismatch: {a.n_qubits} vs {b.n_qubits} qubits"
         )
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+    return _inner(a.amplitudes, b.amplitudes)
 
 
 def basis_probability(state: StateVector, bits: str) -> float:
@@ -195,9 +195,26 @@ def _kron_columns(columns: np.ndarray) -> np.ndarray:
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> complex:
-    """<x, y> of two equally shaped (rows, cols) views, reduced along the
-    longer of rows and cols first."""
-    return complex(np.vecdot(x, y, axis=int(x.shape[0] <= x.shape[1])).sum())
+    """<x, y>, the sum of conj(x) * y, of two equally shaped arrays of one or
+    two axes (strided views included), without BLAS: np.vdot, np.vecdot and
+    np.linalg.norm sum in an order that depends on BLAS's thread count, and
+    so do their last bits.  The products are formed a block of at most
+    :data:`AMP_SLICE` at a time, each block is summed by numpy's pairwise
+    ``np.sum``, and the blocks' sums are added in order, so the result
+    depends only on the arrays and no temporary is larger than a block.  An
+    overflow gives inf or nan quietly, as BLAS does."""
+    x, y = np.atleast_2d(x), np.atleast_2d(y)
+    rows, cols = x.shape
+    width = min(cols, AMP_SLICE)
+    height = AMP_SLICE // width
+    total = 0j
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(0, rows, height):
+            for c in range(0, cols, width):
+                block = np.conj(x[r : r + height, c : c + width])
+                block *= y[r : r + height, c : c + width]
+                total += complex(block.sum())
+    return total
 
 
 def _qubit_split(amps: np.ndarray) -> tuple[list[int], list[np.ndarray] | None]:
@@ -211,10 +228,11 @@ def _qubit_split(amps: np.ndarray) -> tuple[list[int], list[np.ndarray] | None]:
     the Householder R (when |a|^2 is subnormal r11 loses digits, but r11
     then scales every error it causes in the singular values).  As
     m = R.T Q.T, the 2x2 SVD of R.T gives m's singular values and left
-    vectors (Chan's R-SVD, ACM TOMS 8(1), 1982).  The one temporary, the
-    residual, is half the register.  A product rebuilt from the top left
-    vectors lies within sqrt(sum of discarded s^2) of its register; farther
-    off than twice that is a numerical fault."""
+    vectors (Chan's R-SVD, ACM TOMS 8(1), 1982).  The one large temporary,
+    the residual, is half the register; the sums are :func:`_inner`'s, so
+    they do not depend on BLAS's threads.  A product rebuilt from the top
+    left vectors lies within sqrt(sum of discarded s^2) of its register;
+    farther off than twice that is a numerical fault."""
     ranks, tops, discarded = [], [], 0.0
     for q in range(len(amps).bit_length() - 1):
         halves = amps.reshape(1 << q, 2, -1)
@@ -225,9 +243,8 @@ def _qubit_split(amps: np.ndarray) -> tuple[list[int], list[np.ndarray] | None]:
         coef = _inner(a, b) / aa if aa > 0.0 else 0j
         residual = a * coef
         np.subtract(b, residual, out=residual)
-        flat = residual.reshape(-1)
         r11 = math.sqrt(aa)
-        r22 = math.sqrt(np.vecdot(flat, flat).real)
+        r22 = math.sqrt(_inner(residual, residual).real)
         u, s, _ = np.linalg.svd(np.array([[r11, 0.0], [coef * r11, r22]]))
         ranks.append(int(np.count_nonzero(s > RANK_SV_TOL)))
         # fix the phase: |0> coefficient (|1> if that is 0) real non-negative;
@@ -240,7 +257,7 @@ def _qubit_split(amps: np.ndarray) -> tuple[list[int], list[np.ndarray] | None]:
     if any(rank != 1 for rank in ranks):
         return ranks, None
     rebuilt = _kron_columns(tops)
-    rebuilt *= np.vecdot(rebuilt, amps)
+    rebuilt *= _inner(rebuilt, amps)
     rebuilt -= amps
     deviation = float(np.max(np.abs(rebuilt)))
     bound = NORM_TOL + 2.0 * math.sqrt(discarded)

@@ -9,17 +9,13 @@ import pytest
 from helpers import random_fuzzy
 
 import qfuzzy.statevec
-from qfuzzy.analysis import (
-    cfs_inner,
-    check_orthogonality,
-    column_report,
-    entanglement_report,
-)
+from qfuzzy.analysis import cfs_inner, check_orthogonality, entanglement_report
 from qfuzzy.exprparser import Environment, evaluate, parse
 from qfuzzy.fuzzy import FuzzySet
-from qfuzzy.qfs import encode, superpose
+from qfuzzy.qfs import RegisterLayout, encode, superpose
 from qfuzzy.reference import sampling_vs_oracle, total_variation
 from qfuzzy.statevec import StateVector, inner_product
+from qfuzzy.supports import Supports, support_report
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -188,7 +184,7 @@ def test_report_rebuilds_state_after_phase_removal():
     "make",
     [
         lambda: entanglement_report(encode(FuzzySet([0.3, 0.8, 1.0]))),
-        lambda: column_report(
+        lambda: support_report(
             evaluate(
                 parse("A AND NOT B"),
                 Environment(
@@ -199,7 +195,7 @@ def test_report_rebuilds_state_after_phase_removal():
             )
         ),
     ],
-    ids=["register", "columns"],
+    ids=["register", "supports"],
 )
 def test_product_check_reports_a_numerical_fault(monkeypatch, make):
     """With the tolerance made unreachable, every product fails the check
@@ -212,6 +208,35 @@ def test_product_check_reports_a_numerical_fault(monkeypatch, make):
     deviation, bound = map(float, missed.groups())
     assert bound == pytest.approx(-1.0)
     assert 0.0 <= deviation <= 1e-15
+
+
+def _missed_by(make):
+    """The deviation in the numerical-fault error ``make()`` raises."""
+    with pytest.raises(RuntimeError) as err:
+        make()
+    missed = re.fullmatch(r"product factors miss the state by (\S+) > \S+", str(err.value))
+    return float(missed.group(1))
+
+
+def test_support_product_check_counts_the_patterns_off_the_support(monkeypatch):
+    """A product with one of its four patterns removed: its factors stay
+    within the rank tolerance, and they miss the state only at the removed
+    pattern, by the amplitude the product puts there.  The support check
+    finds that miss, as the register's check does."""
+    s = 5e-5
+    c = math.sqrt(1.0 - s * s)
+    amps = [c * c, c * s, s * c]
+    norm = math.sqrt(math.fsum(a * a for a in amps))
+    amps = [a / norm for a in amps]
+    layout = RegisterLayout((("in.value", 1, 1), ("value", 2, 1)))
+    supports = Supports([dict(enumerate(amps))], layout)
+    register = StateVector(2, np.array(amps + [0.0]))
+    assert support_report(supports).is_product
+    assert entanglement_report(register).is_product
+    monkeypatch.setattr(qfuzzy.statevec, "NORM_TOL", -1.0)
+    missed = _missed_by(lambda: support_report(supports))
+    assert missed == pytest.approx(s * s, rel=1e-3)
+    assert missed == pytest.approx(_missed_by(lambda: entanglement_report(register)))
 
 
 def test_entangled_register_skips_the_product_check(monkeypatch):

@@ -16,12 +16,11 @@ from helpers import peak_bytes, perfbench_workloads
 
 import qfuzzy
 from qfuzzy import serialize
-from qfuzzy.analysis import column_report
 from qfuzzy.cli import _quantum_payload, main
 from qfuzzy.exprparser import Environment, _born_weights, eval_classical, evaluate, parse
 from qfuzzy.fuzzy import MAX_ENUM_UNIVERSE, FuzzySet, com_law, com_pushforward
-from qfuzzy.qfs import column_marginals
 from qfuzzy.statevec import draw_counts
+from qfuzzy.supports import support_marginals, support_report
 
 
 def run_cli(capsys, monkeypatch, argv, stdin=""):
@@ -384,7 +383,7 @@ def library_payload(expression, mode):
         }
     else:
         payload = _quantum_payload(
-            result.dense_layout(), column_report(result), column_marginals(result)
+            result.dense_layout(), support_report(result), support_marginals(result)
         )
     return serialize.dumps(payload) + "\n"
 
@@ -465,13 +464,14 @@ def test_eval_long_flat_chain_quantum_defuz(capsys, monkeypatch):
 )
 def test_eval_out_of_memory_is_a_resource_error(capsys, monkeypatch, message, shown):
     import qfuzzy.exprparser
+    import qfuzzy.supports
 
     def exhausted(*args, **kwargs):
         raise MemoryError(message)
 
-    # the register's AND and, for this SUPERPOSE-free expression, the columns'
+    # the register's AND and, for this SUPERPOSE-free expression, the supports'
     monkeypatch.setattr(qfuzzy.exprparser, "qand", exhausted)
-    monkeypatch.setattr(qfuzzy.exprparser, "column_and", exhausted)
+    monkeypatch.setattr(qfuzzy.supports, "support_and", exhausted)
     code, out, err = run_cli(capsys, monkeypatch, ["eval"], eval_spec(mode="quantum"))
     assert (code, out) == (3, "")
     assert err == f"error: out of memory: {shown}\n"
@@ -1130,11 +1130,11 @@ def test_report_accepts_hand_rounded_state(capsys, monkeypatch):
     assert payload["canonical_fuzzy_set"]["memberships"] == pytest.approx([0.5, 0.5])
 
 
-# --- quantum eval as columns ------------------------------------------------------
+# --- quantum eval as supports -----------------------------------------------------
 
 
 def test_superpose_free_eval_peak_memory(tmp_path, capsys):
-    """NOT A at N=20 reports from 20 two-amplitude columns; a register would
+    """NOT A at N=20 reports from 20 two-entry supports; a register would
     be 2^20 amplitudes, 16 MiB."""
     spec = eval_spec(
         universe_size=20,
@@ -1219,7 +1219,14 @@ def _probe_spec(**overrides):
         (["eval"], _probe_spec(expression="NOT A AND (B OR FUZ(2, 1))"), 0, False),
         *[_malformed(kind) for kind in WORKLOADS._MALFORMED],
         (["eval"], _probe_spec(mode="quantum", qubit_cap=8), 3, False),
-        (["eval"], _probe_spec(mode="quantum"), 0, True),
+        (["eval"], _probe_spec(mode="quantum"), 0, False),
+        (["eval"], _probe_spec(mode="quantum", expression="NOT FUZ(2, 1)"), 0, False),
+        (["eval"], _probe_spec(
+            mode="quantum", expression="(NOT A AND (B OR FUZ(2, 1))) OR A"
+        ), 0, False),
+        (["eval"], _probe_spec(
+            mode="quantum", expression="SUPERPOSE(1.0 * A, 0.5 * B) AND A"
+        ), 0, True),
         (["eval"], _probe_spec(mode="quantum", expression="DEFUZ(A AND B)"), 0, False),
         (["eval"], _probe_spec(
             mode="quantum", expression="DEFUZ(SUPERPOSE(1.0 * A, 0.5 * B))"
@@ -1234,15 +1241,16 @@ def _probe_spec(**overrides):
     ids=[
         "import", "one_element", "connectives",
         *[f"malformed_{kind}" for kind in WORKLOADS._MALFORMED],
-        "quantum_over_cap", "quantum", "quantum_defuz", "quantum_defuz_superpose",
+        "quantum_over_cap", "quantum", "quantum_fuz", "quantum_tree", "quantum_superpose",
+        "quantum_defuz", "quantum_defuz_superpose",
         "classical_defuz", "classical_defuz_at_limit",
     ],
 )
 def test_numpy_loads_only_where_arrays_are_used(argv, stdin, exit_code, loads_numpy):
-    """A fresh interpreter executes numpy only for a register, a DEFUZ over
-    SUPERPOSE or a sample: not for an import, a classical expression (DEFUZ
-    included), a quantum DEFUZ without SUPERPOSE, or a spec refused before
-    any register is built."""
+    """A fresh interpreter executes numpy only for a register, SUPERPOSE (with
+    or without DEFUZ) or a sample: not for an import, a classical expression
+    (DEFUZ included), a quantum expression without SUPERPOSE (DEFUZ or not),
+    or a spec refused before any register is built."""
     src = Path(qfuzzy.__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_PROBE, *argv],
@@ -1337,3 +1345,77 @@ def test_only_the_born_weights_defuz_imports_the_python_draw(stdin, exit_code, l
         timeout=60,
     )
     assert proc.stderr.splitlines()[-1] == f"{exit_code} {loads_draw}"
+
+
+
+#: As _DRAW_PROBE, for the support module of a SUPERPOSE-free quantum eval.
+_SUPPORTS_PROBE = _DRAW_PROBE.replace("qfuzzy._multinomial", "qfuzzy.supports")
+
+
+@pytest.mark.parametrize(
+    "stdin, exit_code, loads_supports",
+    [
+        (_probe_spec(expression="NOT A AND (B OR FUZ(2, 1))"), 0, False),
+        (*_malformed("unbound")[1:3], False),
+        (_probe_spec(mode="quantum", qubit_cap=8), 3, False),
+        (_probe_spec(mode="quantum", expression="DEFUZ(A AND B)"), 0, False),
+        (_probe_spec(mode="quantum", expression="SUPERPOSE(1.0 * A) AND B"), 0, False),
+        (_probe_spec(mode="quantum"), 0, True),
+    ],
+    ids=[
+        "classical", "malformed", "quantum_over_cap", "quantum_defuz",
+        "quantum_superpose", "quantum",
+    ],
+)
+def test_only_the_supports_route_imports_the_supports(stdin, exit_code, loads_supports):
+    """A fresh interpreter imports ``qfuzzy.supports`` only for a quantum
+    ``eval`` without DEFUZ or SUPERPOSE: no other spec compiles it."""
+    src = Path(qfuzzy.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _SUPPORTS_PROBE, "eval"],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.stderr.splitlines()[-1] == f"{exit_code} {loads_supports}"
+
+# --- BLAS threads -------------------------------------------------------------
+
+
+def _blas_spec(kind):
+    """A 16-qubit product state for ``report``, or a 14-element SUPERPOSE
+    for ``eval``: inputs whose reductions run over 2^13 amplitudes or more,
+    and whose reports print numbers those reductions give."""
+    rnd = random.Random(16)
+    if kind == "report":
+        desc = WORKLOADS._state_desc(rnd, 16, False)
+        return WORKLOADS.state_json(WORKLOADS.build_state(desc), 16)
+    sets = {name: [rnd.random() for _ in range(14)] for name in "AB"}
+    return eval_spec(
+        universe_size=14, sets=sets, mode="quantum",
+        expression="SUPERPOSE(0.6 * A, -0.8 * B)",
+    )
+
+
+@pytest.mark.parametrize("command", ["report", "eval"])
+def test_stdout_does_not_depend_on_the_blas_threads(command):
+    """The same input prints the same bytes with one BLAS thread and with
+    two, in fresh interpreters: no reduction goes through BLAS, whose sums
+    depend on its thread count."""
+    src = Path(qfuzzy.__file__).resolve().parent.parent
+    stdin = _blas_spec(command)
+    outs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qfuzzy.cli", command],
+            input=stdin,
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads},
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

@@ -13,6 +13,7 @@ import pytest
 from helpers import (
     NODE_FIELDS,
     described,
+    peak_bytes,
     random_ast,
     random_fuzzy,
     random_marginal_expr,
@@ -23,7 +24,7 @@ from helpers import (
 )
 
 from qfuzzy import cli, exprparser, qfs
-from qfuzzy.analysis import column_report, entanglement_report
+from qfuzzy.analysis import entanglement_report
 from qfuzzy.cli import main
 from qfuzzy.errors import ResourceLimitError
 from qfuzzy.exprparser import (
@@ -48,16 +49,16 @@ from qfuzzy.exprparser import (
     tokenize,
 )
 from qfuzzy.fuzzy import FuzzySet, com_law
-from qfuzzy.qfs import (
-    _com_table,
-    _value_distribution,
-    column_marginals,
-    defuzzify,
-    encode,
-    value_marginals,
-)
+from qfuzzy.qfs import _com_table, _value_distribution, defuzzify, encode, value_marginals
 from qfuzzy.reference import total_variation
-from qfuzzy.statevec import MAX_SHOTS, check_register_cap, draw_counts, schmidt_rank
+from qfuzzy.statevec import (
+    MAX_SHOTS,
+    RANK_SV_TOL,
+    check_register_cap,
+    draw_counts,
+    schmidt_rank,
+)
+from qfuzzy.supports import support_marginals, support_report
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "parser_golden.json").read_text()
@@ -371,8 +372,8 @@ def test_walks_take_any_number_of_nots():
     quantum = env_for(2, "quantum", A=[0.25, 1.0])
     assert plan(ast, quantum) == 2
     assert evaluate(ast, classical).memberships == (0.75, 0.0)
-    negated = column_marginals(evaluate(parse("NOT A"), quantum))
-    assert column_marginals(evaluate(ast, quantum)).tolist() == negated.tolist()
+    negated = support_marginals(evaluate(parse("NOT A"), quantum))
+    assert support_marginals(evaluate(ast, quantum)) == negated
 
 
 def test_walks_take_a_deep_right_nested_tree():
@@ -698,26 +699,39 @@ def test_superpose_free_defuz_builds_no_register(tmp_path, capsys, monkeypatch):
     assert sum(json.loads(out)["counts"].values()) == 500
 
 
-def test_columns_match_the_dense_register():
-    """Columns against the dense oracle on random SUPERPOSE-free trees: the
-    same layout, ranks and product verdict, and every float within 1e-12."""
+def _near_rank_tol(rng, n):
+    """Random memberships: about 30% exactly 0 or 1, and about 30% within
+    a factor of 4 of RANK_SV_TOL^2 from 0 or 1, so that their amplitudes
+    fall near RANK_SV_TOL."""
+    m = rng.random(n)
+    kind = rng.random(n)
+    crisp, near = kind < 0.3, kind > 0.7
+    m[crisp] = rng.integers(0, 2, size=int(crisp.sum()))
+    tiny = (RANK_SV_TOL * rng.uniform(0.5, 2.0, size=int(near.sum()))) ** 2
+    m[near] = np.where(rng.random(tiny.size) < 0.5, tiny, 1.0 - tiny)
+    return FuzzySet(m)
+
+
+def test_supports_match_the_dense_register():
+    """Supports against the dense oracle on random SUPERPOSE-free trees: the
+    same layout, ranks and product verdict, and every float within 1e-15."""
     rng = np.random.default_rng(131)
     names = ["A", "B", "C"]
     products = 0
-    for _ in range(200):
+    for _ in range(2000):
         n = int(rng.integers(1, 5))
-        bindings = {name: _crisp_heavy(rng, n) for name in names}
+        bindings = {name: _near_rank_tol(rng, n) for name in names}
         env = Environment(universe_size=n, bindings=bindings, mode="quantum")
-        ast = random_marginal_expr(rng, names, n, depth=4, budget=20)
+        ast = random_marginal_expr(rng, names, n, depth=4, budget=12)
         dense = eval_quantum(ast, env)
-        columns = evaluate(ast, env)
+        supports = evaluate(ast, env)
         shown = pretty_print(ast)
-        assert columns.dense_layout() == dense.layout, shown
-        want, got = entanglement_report(dense), column_report(columns)
+        assert supports.dense_layout() == dense.layout, shown
+        want, got = entanglement_report(dense), support_report(supports)
         assert got.per_qubit_schmidt_ranks == want.per_qubit_schmidt_ranks, shown
         assert got.is_product == want.is_product, shown
         np.testing.assert_allclose(
-            column_marginals(columns), value_marginals(dense), rtol=0, atol=1e-12
+            support_marginals(supports), value_marginals(dense), rtol=0, atol=1e-15
         )
         if want.is_product:
             products += 1
@@ -727,8 +741,31 @@ def test_columns_match_the_dense_register():
             ]
             pairs += [(g.amplitudes, w.amplitudes) for g, w in zip(got.factors, want.factors)]
             for g, w in pairs:
-                np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=shown)
-    assert 20 <= products < 200  # both verdicts are exercised
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-15, err_msg=shown)
+    assert 200 <= products < 1800  # both verdicts are exercised
+
+
+def test_wide_tree_supports_stay_small():
+    """Twelve fuzzy leaves under eleven gates at N = 1: a 23-qubit register
+    would be 128 MiB, and the root's support is its 4,096 nonzero entries."""
+    nodes = [Ident(f"L{i}") for i in range(12)]
+    while len(nodes) > 1:  # pair them off, level by level, an odd one carried
+        pairs = zip(nodes[::2], nodes[1::2])
+        carried = nodes[len(nodes) // 2 * 2 :]
+        nodes = [(And if i % 2 else Or)(a, b) for i, (a, b) in enumerate(pairs)] + carried
+    ast = Not(nodes[0])
+    bindings = {f"L{i}": FuzzySet([(i + 1) / 14]) for i in range(12)}
+    env = Environment(1, bindings, mode="quantum", qubit_cap=23)
+
+    def run():
+        supports = evaluate(ast, env)
+        return support_report(supports), support_marginals(supports)
+
+    assert peak_bytes(run) < 1 << 20
+    report, marginals = run()
+    assert len(evaluate(ast, env).columns[0]) == 4096
+    assert report.per_qubit_schmidt_ranks.count(1) < 23 and not report.is_product
+    assert marginals == pytest.approx(_born_weights(ast, env)[1], abs=1e-15)
 
 
 def test_superpose_free_eval_builds_no_register(tmp_path, capsys, monkeypatch):
@@ -797,7 +834,7 @@ def test_evaluate_dispatches_on_mode():
     classical = evaluate(parse("A"), env_for(1, A=[0.4]))
     quantum = evaluate(parse("A"), env_for(1, "quantum", A=[0.4]))
     assert isinstance(classical, FuzzySet)
-    assert column_marginals(quantum) == pytest.approx([0.4])
+    assert support_marginals(quantum) == pytest.approx([0.4])
 
 
 # --- mode agreement -----------------------------------------------------------------
